@@ -16,9 +16,10 @@
 //    rank 0 prints the report. E.g.:
 //        sb_launch -n 4 --backend shm -- ./example_distributed_training
 //
-// Migration note: the older core::distributed_unsupervised_fit() only
-// trained a bare hidden layer; fit_distributed() trains the full model,
-// head included.
+// The schedule is Model::fit's — annealed noise, per-epoch plasticity,
+// the prune cadence, then the head — so a model configured for serial
+// training trains the same way here; only the batch statistics are
+// reduced across ranks.
 //
 // Usage:
 //   example_distributed_training [--ranks 4] [--events 2400] [--mcus 80]

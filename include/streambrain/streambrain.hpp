@@ -41,6 +41,7 @@
 #include "core/pipeline.hpp"
 #include "core/plasticity.hpp"
 #include "core/pruning.hpp"
+#include "core/schedule.hpp"
 #include "core/semi_supervised.hpp"
 #include "core/serialization.hpp"
 #include "core/sgd_head.hpp"

@@ -26,194 +26,59 @@ Predictor::Predictor(std::shared_ptr<Estimator> model,
   }
 }
 
-double Predictor::run_pending_locked() {
+template <typename T>
+std::vector<T> Predictor::serve(
+    const tensor::MatrixF& x,
+    std::vector<T> (Estimator::*run)(const tensor::MatrixF&)) {
+  if (x.rows() == 0) return {};
+  const auto started = Clock::now();
+  std::vector<T> out;
+  out.reserve(x.rows());
   double model_seconds = 0.0;
-  std::vector<std::shared_ptr<Request>> batch;
-  batch.swap(pending_);
-  pending_rows_ = 0;
-  if (batch.empty()) return model_seconds;
 
-  // Execute each request kind separately (they produce different result
-  // types), coalescing rows across requests into micro-batches of at most
-  // max_batch_rows. Rows are computed independently by every estimator,
-  // so splitting/merging cannot change any row's result.
-  for (const Kind kind : {Kind::kLabels, Kind::kScores}) {
-    // (request, row) cursor list in arrival order.
-    std::vector<std::pair<Request*, std::size_t>> rows;
-    for (const auto& request : batch) {
-      if (request->kind != kind) continue;
-      for (std::size_t r = 0; r < request->x.rows(); ++r) {
-        rows.emplace_back(request.get(), r);
-      }
-      request->labels.assign(
-          kind == Kind::kLabels ? request->x.rows() : 0, 0);
-      request->scores.assign(
-          kind == Kind::kScores ? request->x.rows() : 0, 0.0);
-    }
-
-    std::size_t cursor = 0;
-    tensor::MatrixF chunk;
-    while (cursor < rows.size()) {
-      const std::size_t cols = rows[cursor].first->x.cols();
-      std::size_t take = 0;
-      while (cursor + take < rows.size() && take < options_.max_batch_rows &&
-             rows[cursor + take].first->x.cols() == cols) {
-        ++take;
-      }
-      chunk.resize(take, cols);
-      for (std::size_t i = 0; i < take; ++i) {
-        const auto& [request, row] = rows[cursor + i];
-        std::copy_n(request->x.row(row), cols, chunk.row(i));
-      }
-
-      const auto started = Clock::now();
-      if (kind == Kind::kLabels) {
-        const std::vector<int> labels = model_->predict(chunk);
-        for (std::size_t i = 0; i < take; ++i) {
-          const auto& [request, row] = rows[cursor + i];
-          request->labels[row] = labels[i];
-        }
-      } else {
-        const std::vector<double> scores = model_->predict_scores(chunk);
-        for (std::size_t i = 0; i < take; ++i) {
-          const auto& [request, row] = rows[cursor + i];
-          request->scores[row] = scores[i];
-        }
-      }
-      const double batch_seconds = seconds_since(started);
-      model_seconds += batch_seconds;
-      stats_.model_seconds += batch_seconds;
-      stats_.batches += 1;
-      stats_.rows += take;
-      cursor += take;
-    }
-  }
-
-  for (const auto& request : batch) request->done = true;
-  done_cv_.notify_all();
-  return model_seconds;
-}
-
-double Predictor::run_direct_locked(const tensor::MatrixF& x, Kind kind,
-                                    std::vector<int>& labels,
-                                    std::vector<double>& scores) {
-  double model_seconds = 0.0;
-  const std::size_t rows = x.rows();
+  const sb::MutexLock lock(mutex_);
   tensor::MatrixF chunk;
-  for (std::size_t begin = 0; begin < rows;
+  for (std::size_t begin = 0; begin < x.rows();
        begin += options_.max_batch_rows) {
-    const std::size_t take = std::min(options_.max_batch_rows, rows - begin);
+    const std::size_t take =
+        std::min(options_.max_batch_rows, x.rows() - begin);
     const tensor::MatrixF* input = &x;
-    if (take != rows) {  // only copy when the request must be split
+    if (take != x.rows()) {  // only copy when the request must be split
       chunk.resize(take, x.cols());
       for (std::size_t i = 0; i < take; ++i) {
         std::copy_n(x.row(begin + i), x.cols(), chunk.row(i));
       }
       input = &chunk;
     }
-    const auto started = Clock::now();
-    if (kind == Kind::kLabels) {
-      const std::vector<int> part = model_->predict(*input);
-      labels.insert(labels.end(), part.begin(), part.end());
-    } else {
-      const std::vector<double> part = model_->predict_scores(*input);
-      scores.insert(scores.end(), part.begin(), part.end());
-    }
-    const double batch_seconds = seconds_since(started);
+    const auto batch_started = Clock::now();
+    const std::vector<T> part = ((*model_).*run)(*input);
+    const double batch_seconds = seconds_since(batch_started);
+    out.insert(out.end(), part.begin(), part.end());
     model_seconds += batch_seconds;
     stats_.model_seconds += batch_seconds;
     stats_.batches += 1;
     stats_.rows += take;
   }
-  return model_seconds;
-}
 
-std::vector<int> Predictor::predict(const tensor::MatrixF& x) {
-  if (x.rows() == 0) return {};
-  const auto started = Clock::now();
-  std::vector<int> labels;
-  std::vector<double> scores;
-  double own_model_seconds = 0.0;
-
-  const sb::MutexLock lock(mutex_);
-  if (options_.flush_policy == FlushPolicy::kImmediate) {
-    own_model_seconds = run_direct_locked(x, Kind::kLabels, labels, scores);
-  } else {
-    auto request = std::make_shared<Request>();
-    request->x = x;
-    request->kind = Kind::kLabels;
-    pending_.push_back(request);
-    pending_rows_ += request->x.rows();
-    if (pending_rows_ >= options_.max_batch_rows) {
-      own_model_seconds += run_pending_locked();
-    }
-    // Deadline-bounded wait: if the shared batch neither fills nor gets
-    // flushed within max_batch_delay, close it ourselves — a deferred
-    // caller makes progress even with no other traffic and no external
-    // flush() driver.
-    const auto deadline = started + options_.max_batch_delay;
-    while (!request->done) {
-      if (!done_cv_.wait_until(mutex_, deadline) && !request->done) {
-        own_model_seconds += run_pending_locked();
-      }
-    }
-    labels = std::move(request->labels);
-  }
-
-  record_call_locked(started, own_model_seconds);
-  return labels;
-}
-
-std::vector<double> Predictor::predict_scores(const tensor::MatrixF& x) {
-  if (x.rows() == 0) return {};
-  const auto started = Clock::now();
-  std::vector<int> labels;
-  std::vector<double> scores;
-  double own_model_seconds = 0.0;
-
-  const sb::MutexLock lock(mutex_);
-  if (options_.flush_policy == FlushPolicy::kImmediate) {
-    own_model_seconds = run_direct_locked(x, Kind::kScores, labels, scores);
-  } else {
-    auto request = std::make_shared<Request>();
-    request->x = x;
-    request->kind = Kind::kScores;
-    pending_.push_back(request);
-    pending_rows_ += request->x.rows();
-    if (pending_rows_ >= options_.max_batch_rows) {
-      own_model_seconds += run_pending_locked();
-    }
-    const auto deadline = started + options_.max_batch_delay;
-    while (!request->done) {
-      if (!done_cv_.wait_until(mutex_, deadline) && !request->done) {
-        own_model_seconds += run_pending_locked();
-      }
-    }
-    scores = std::move(request->scores);
-  }
-
-  record_call_locked(started, own_model_seconds);
-  return scores;
-}
-
-void Predictor::record_call_locked(
-    std::chrono::steady_clock::time_point started, double own_model_seconds) {
+  // Whatever part of the call was not spent running the model is
+  // queueing: lock contention behind other callers.
   const double latency = seconds_since(started);
-  // Whatever part of the call was not spent running the model on the
-  // caller's own thread is queueing: lock contention, batch-fill waits,
-  // and batches other callers ran for us.
-  const double queue_wait = std::max(0.0, latency - own_model_seconds);
+  const double queue_wait = std::max(0.0, latency - model_seconds);
   stats_.requests += 1;
   stats_.total_latency_seconds += latency;
   stats_.max_latency_seconds = std::max(stats_.max_latency_seconds, latency);
   stats_.total_queue_wait_seconds += queue_wait;
   stats_.max_queue_wait_seconds =
       std::max(stats_.max_queue_wait_seconds, queue_wait);
+  return out;
 }
 
-void Predictor::flush() {
-  const sb::MutexLock lock(mutex_);
-  run_pending_locked();
+std::vector<int> Predictor::predict(const tensor::MatrixF& x) {
+  return serve(x, &Estimator::predict);
+}
+
+std::vector<double> Predictor::predict_scores(const tensor::MatrixF& x) {
+  return serve(x, &Estimator::predict_scores);
 }
 
 PredictorStats Predictor::stats() const {

@@ -10,15 +10,14 @@
 //   // from any thread:
 //   std::vector<int> labels = predictor.predict(rows);
 //
-// Requests are executed in micro-batches of at most `max_batch_rows`
-// rows. Under FlushPolicy::kCoalesce concurrent callers' rows are
-// coalesced into shared batches (amortizing the per-batch GEMM setup)
-// and a caller blocks until a batch containing its rows has run. Because
-// every model in the repo computes rows independently, predictions are
-// bit-identical to the single-threaded path regardless of how requests
-// interleave — the concurrency test asserts exactly this.
+// Each call runs under one mutex, in micro-batches of at most
+// `max_batch_rows` rows (larger requests are split). Because every model
+// in the repo computes rows independently, predictions are bit-identical
+// to the single-threaded path regardless of how calls interleave — the
+// concurrency test asserts exactly this. For cross-caller micro-batching,
+// sharding and deadline flushes use AsyncPredictor.
 
-#include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -30,33 +29,16 @@
 
 namespace streambrain {
 
-enum class FlushPolicy {
-  /// Run every request's rows as soon as it arrives (lowest latency).
-  kImmediate,
-  /// Buffer rows until max_batch_rows accumulate, then run the shared
-  /// batch (highest throughput). Callers block until their rows ran; a
-  /// partial batch runs when more rows arrive, flush() is called, or the
-  /// oldest waiter's max_batch_delay deadline expires — a lone caller is
-  /// never stranded waiting for traffic that never comes.
-  kCoalesce,
-};
-
 struct PredictorOptions {
-  /// Upper bound on rows per executed micro-batch. Larger requests are
-  /// split; under kCoalesce smaller concurrent requests are merged.
+  /// Upper bound on rows per executed micro-batch; larger requests are
+  /// split.
   std::size_t max_batch_rows = 256;
-  FlushPolicy flush_policy = FlushPolicy::kImmediate;
-  /// kCoalesce only: the longest a caller waits for its batch to fill
-  /// before it closes the partial batch itself. This bounds tail latency
-  /// and makes deferred flushing safe without an external flush() driver.
-  std::chrono::steady_clock::duration max_batch_delay =
-      std::chrono::milliseconds(5);
 };
 
 /// Monotonic serving counters; snapshot via Predictor::stats().
-/// Per call, `total_latency_seconds` = queue wait (lock contention +
-/// batch-fill waiting) + model compute; the two are accounted
-/// separately so contention cannot masquerade as model time.
+/// Per call, `total_latency_seconds` = queue wait (lock contention) +
+/// model compute; the two are accounted separately so contention cannot
+/// masquerade as model time.
 struct PredictorStats {
   std::uint64_t requests = 0;  ///< predict()/predict_scores() calls
   std::uint64_t rows = 0;      ///< total rows served
@@ -65,8 +47,7 @@ struct PredictorStats {
   double max_latency_seconds = 0.0;    ///< worst single call
   double model_seconds = 0.0;          ///< time spent inside the model
   /// Summed per-call time NOT spent running the model on behalf of the
-  /// call: mutex acquisition, waiting for a coalesced batch to fill, and
-  /// batches run by other callers that happened to include our rows.
+  /// call: mutex acquisition behind other callers.
   double total_queue_wait_seconds = 0.0;
   double max_queue_wait_seconds = 0.0;  ///< worst single-call queue wait
 
@@ -103,12 +84,6 @@ class Predictor {
   [[nodiscard]] std::vector<double> predict_scores(
       const tensor::MatrixF& x) EXCLUDES(mutex_);
 
-  /// Run any buffered partial batch now (kCoalesce only; a no-op under
-  /// kImmediate). Optional: waiters self-flush once max_batch_delay
-  /// expires, so calling this only trims latency, it is never required
-  /// for progress.
-  void flush() EXCLUDES(mutex_);
-
   [[nodiscard]] PredictorStats stats() const EXCLUDES(mutex_);
 
   [[nodiscard]] const PredictorOptions& options() const noexcept {
@@ -117,41 +92,17 @@ class Predictor {
   [[nodiscard]] const Estimator& model() const noexcept { return *model_; }
 
  private:
-  enum class Kind { kLabels, kScores };
-
-  struct Request {
-    tensor::MatrixF x;
-    Kind kind = Kind::kLabels;
-    std::vector<int> labels;
-    std::vector<double> scores;
-    bool done = false;
-  };
-
-  /// Pre: lock held. Executes all pending requests in micro-batches and
-  /// wakes their owners. Returns the model seconds this call spent, so
-  /// the caller can split its latency into queue wait vs. model time.
-  double run_pending_locked() REQUIRES(mutex_);
-
-  /// Pre: lock held. kImmediate fast path: runs `x` in micro-batches
-  /// straight from the caller's matrix (no queue, no row copies unless a
-  /// split is needed), filling whichever result vector matches `kind`.
-  /// Returns the model seconds spent.
-  double run_direct_locked(const tensor::MatrixF& x, Kind kind,
-                           std::vector<int>& labels,
-                           std::vector<double>& scores) REQUIRES(mutex_);
-
-  /// Pre: lock held. Folds one finished call into the counters, splitting
-  /// its latency into queue wait vs. the model time it ran itself.
-  void record_call_locked(std::chrono::steady_clock::time_point started,
-                          double own_model_seconds) REQUIRES(mutex_);
+  /// The one body of predict() and predict_scores(): runs `x` through
+  /// `run` in micro-batches under the lock and records the call.
+  template <typename T>
+  std::vector<T> serve(const tensor::MatrixF& x,
+                       std::vector<T> (Estimator::*run)(const tensor::MatrixF&))
+      EXCLUDES(mutex_);
 
   std::shared_ptr<Estimator> model_;
   PredictorOptions options_;
 
   mutable sb::Mutex mutex_;
-  sb::CondVar done_cv_;
-  std::vector<std::shared_ptr<Request>> pending_ GUARDED_BY(mutex_);
-  std::size_t pending_rows_ GUARDED_BY(mutex_) = 0;
   PredictorStats stats_ GUARDED_BY(mutex_);
 };
 

@@ -1,8 +1,8 @@
 #include "core/deep.hpp"
 
-#include <numeric>
 #include <stdexcept>
 
+#include "core/schedule.hpp"
 #include "data/dataset.hpp"
 #include "parallel/engine_registry.hpp"
 #include "tensor/kernels.hpp"
@@ -42,32 +42,6 @@ DeepBcpnn::DeepBcpnn(DeepBcpnnConfig config)
       config_.layers.back().hcus, config_.classes, *engine_, 0.1f);
 }
 
-void DeepBcpnn::train_layer_unsupervised(std::size_t index,
-                                         const tensor::MatrixF& x) {
-  BcpnnLayer& layer = *layers_[index];
-  const std::size_t n = x.rows();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  tensor::MatrixF batch;
-  const std::size_t epochs = config_.epochs_per_layer;
-  for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
-    const float progress =
-        epochs > 1 ? static_cast<float>(epoch) / static_cast<float>(epochs - 1)
-                   : 1.0f;
-    const float noise = config_.noise_start * (1.0f - progress);
-    rng_.shuffle(order);
-    for (std::size_t start = 0; start < n; start += config_.batch_size) {
-      const std::size_t end = std::min(start + config_.batch_size, n);
-      batch.resize(end - start, x.cols());
-      for (std::size_t r = start; r < end; ++r) {
-        std::copy_n(x.row(order[r]), x.cols(), batch.row(r - start));
-      }
-      layer.train_batch(batch, noise);
-    }
-    layer.plasticity_step();
-  }
-}
-
 void DeepBcpnn::propagate(std::size_t index, const tensor::MatrixF& in,
                           tensor::MatrixF& out) {
   layers_[index]->forward(in, out);
@@ -83,7 +57,7 @@ void DeepBcpnn::fit(const tensor::MatrixF& x, const std::vector<int>& labels) {
   // Greedy stack: train layer 0 on the input, freeze, propagate, repeat.
   tensor::MatrixF current = x;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
-    train_layer_unsupervised(l, current);
+    fit_hidden_layer(*layers_[l], current, rng_);
     tensor::MatrixF next;
     propagate(l, current, next);
     current = std::move(next);
@@ -91,29 +65,9 @@ void DeepBcpnn::fit(const tensor::MatrixF& x, const std::vector<int>& labels) {
   // Supervised head on the top code — recomputed via transform() so the
   // head trains on exactly the representation it will see at inference
   // (soft top layer, WTA below).
-  current = transform(x);
-  const tensor::MatrixF targets =
-      data::one_hot_labels(labels, config_.classes);
-  const std::size_t n = current.rows();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  tensor::MatrixF batch_h;
-  tensor::MatrixF batch_t;
-  for (std::size_t epoch = 0; epoch < config_.head_epochs; ++epoch) {
-    rng_.shuffle(order);
-    for (std::size_t start = 0; start < n; start += config_.batch_size) {
-      const std::size_t end = std::min(start + config_.batch_size, n);
-      batch_h.resize(end - start, current.cols());
-      batch_t.resize(end - start, config_.classes);
-      for (std::size_t r = start; r < end; ++r) {
-        std::copy_n(current.row(order[r]), current.cols(),
-                    batch_h.row(r - start));
-        std::copy_n(targets.row(order[r]), config_.classes,
-                    batch_t.row(r - start));
-      }
-      head_->train_batch(batch_h, batch_t);
-    }
-  }
+  fit_bcpnn_head(*head_, transform(x),
+                 data::one_hot_labels(labels, config_.classes),
+                 config_.head_epochs, config_.batch_size, rng_);
 }
 
 tensor::MatrixF DeepBcpnn::transform(const tensor::MatrixF& x) {

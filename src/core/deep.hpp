@@ -90,7 +90,6 @@ class DeepBcpnn {
   [[nodiscard]] parallel::Engine& engine() noexcept { return *engine_; }
 
  private:
-  void train_layer_unsupervised(std::size_t index, const tensor::MatrixF& x);
   /// Forward through layer `index`, applying WTA when configured.
   void propagate(std::size_t index, const tensor::MatrixF& in,
                  tensor::MatrixF& out);

@@ -1,9 +1,8 @@
 #include "core/distributed.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <cstddef>
 #include <functional>
-#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -11,13 +10,12 @@
 #include "core/classifier.hpp"
 #include "core/deep.hpp"
 #include "core/network.hpp"
+#include "core/schedule.hpp"
 #include "core/serialization.hpp"
 #include "core/sgd_head.hpp"
 #include "data/dataset.hpp"
-#include "parallel/engine_registry.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/kernels.hpp"
-#include "util/annotated_mutex.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -207,27 +205,43 @@ void buffer_to_traces(const float* in, ProbabilityTraces& traces) {
   std::copy_n(in, traces.pij().size(), traces.mutable_pij().data());
 }
 
-/// Everything one synchronized trace-training phase needs.
-struct TracePhase {
-  ProbabilityTraces& traces;
-  std::function<void()> recompute;          ///< weights from traces
-  std::function<void(const tensor::MatrixF&, tensor::MatrixF&, float,
-                     util::Rng&)>
-      forward;  ///< shard rows -> activations (empty: targets provided)
-  float alpha;
-  std::size_t epochs;
-  std::size_t batch_size;
-  std::function<float(std::size_t)> noise_for_epoch;  ///< 0 => none
-  std::function<void()> end_epoch;          ///< e.g. plasticity (may be {})
-  std::uint64_t stream;                     ///< schedule / noise rng tag
+// --- The synchronized batch loop ------------------------------------------
+
+/// Where a virtual shard's rows sit in the schedule; keys its noise stream.
+struct ShardId {
+  std::size_t epoch = 0;
+  std::size_t batch = 0;
+  std::size_t shard = 0;
 };
 
-/// One full trace-training phase (all epochs) over `x` with optional
-/// supervised targets. This is the core of the data-parallel trainer.
-void run_trace_phase(comm::Communicator& comm, const DistributedOptions& opts,
-                     TracePhase&& phase, const tensor::MatrixF& x,
-                     const tensor::MatrixF* targets, std::size_t n_out,
-                     std::size_t& sync_count) {
+/// One synchronized training phase. run_sync_phase owns the data
+/// decomposition, the exchange and its overlap, the exact/cadence
+/// branches and the sync count; a phase supplies only these four steps.
+struct SyncPhase {
+  std::size_t epochs = 0;
+  std::size_t batch_size = 0;
+  std::uint64_t stream = 0;  ///< schedule / noise rng tag
+  std::size_t block = 0;     ///< statistics floats per virtual shard
+  /// Partial statistics of one virtual shard's rows (`t`: its targets,
+  /// null in unsupervised phases) into `slot`.
+  std::function<void(const tensor::MatrixF& x, const tensor::MatrixF* t,
+                     const ShardId& id, float* slot)>
+      shard_stats;
+  /// Apply combined statistics of `rows` rows.
+  std::function<void(const float* totals, std::size_t rows)> apply;
+  /// Cadence mode: average the replicated parameters across ranks.
+  std::function<void(comm::Communicator& comm)> average;
+  /// After every epoch, when the parameters are rank-identical (exact
+  /// every batch; cadence mode via the forced epoch-end average), so a
+  /// structural step makes the same decision on every rank.
+  std::function<void(std::size_t epoch)> end_epoch;
+};
+
+/// One full phase (all epochs) over `x` with optional supervised targets.
+/// This is the core of the data-parallel trainer.
+void run_sync_phase(comm::Communicator& comm, const DistributedOptions& opts,
+                    const SyncPhase& phase, const tensor::MatrixF& x,
+                    const tensor::MatrixF* targets, std::size_t& sync_count) {
   const int rank = comm.rank();
   const int world = comm.size();
   const std::size_t n = x.rows();
@@ -235,43 +249,29 @@ void run_trace_phase(comm::Communicator& comm, const DistributedOptions& opts,
   const bool exact = opts.sync_cadence <= 1;
 
   LeafExchange exchange;
-  exchange.configure(shards, trace_block_size(x.cols(), n_out));
-  std::vector<float> trace_buffer;
+  exchange.configure(shards, phase.block);
 
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   util::Rng order_rng(mix(phase.stream, 0x5A55C0DEULL));
-  tensor::MatrixF activations;
-  tensor::MatrixF pij_scratch;
   BatchShards current;
   BatchShards next;
 
   const std::size_t batches = (n + phase.batch_size - 1) / phase.batch_size;
   for (std::size_t epoch = 0; epoch < phase.epochs; ++epoch) {
-    const float noise =
-        phase.noise_for_epoch ? phase.noise_for_epoch(epoch) : 0.0f;
     order_rng.shuffle(order);
-    pack_batch(x, targets, order, 0,
-               std::min(phase.batch_size, n), shards, rank, world, current);
+    pack_batch(x, targets, order, 0, std::min(phase.batch_size, n), shards,
+               rank, world, current);
     for (std::size_t b = 0; b < batches; ++b) {
-      const std::size_t start = b * phase.batch_size;
-      const std::size_t next_start = start + phase.batch_size;
+      const std::size_t next_start = (b + 1) * phase.batch_size;
       exchange.reset();
       for (std::size_t v = 0; v < shards; ++v) {
         if (!owns_shard(v, rank, world) || current.rows_per_shard[v] == 0) {
           continue;
         }
-        const tensor::MatrixF& shard_x = current.x[v];
-        const tensor::MatrixF* shard_a;
-        if (targets != nullptr) {
-          shard_a = &current.t[v];
-        } else {
-          util::Rng noise_rng = shard_noise_rng(phase.stream, epoch, b, v);
-          phase.forward(shard_x, activations, noise, noise_rng);
-          shard_a = &activations;
-        }
-        accumulate_trace_stats(shard_x, *shard_a, pij_scratch,
-                               exchange.slot(v));
+        phase.shard_stats(current.x[v],
+                          targets != nullptr ? &current.t[v] : nullptr,
+                          {epoch, b, v}, exchange.slot(v));
       }
 
       const auto pack_next = [&] {
@@ -289,37 +289,52 @@ void run_trace_phase(comm::Communicator& comm, const DistributedOptions& opts,
                           opts.overlap ? std::function<void()>(pack_next)
                                        : std::function<void()>{});
         if (!opts.overlap) pack_next();
-        apply_trace_ema(exchange.total.data(), current.batch_rows, phase.alpha,
-                        phase.traces);
-        phase.recompute();
+        phase.apply(exchange.total.data(), current.batch_rows);
         ++sync_count;
       } else {
-        // Approximate mode: local update now, trace averaging on cadence.
+        // Approximate mode: local update now, parameter averaging on
+        // cadence (and always at the last batch of the epoch).
         exchange.combine_owned(rank, world);
         if (current.local_rows > 0) {
-          apply_trace_ema(exchange.total.data(), current.local_rows,
-                          phase.alpha, phase.traces);
-          phase.recompute();
+          phase.apply(exchange.total.data(), current.local_rows);
         }
         pack_next();
-        const bool last_batch = b + 1 == batches;
-        if ((b + 1) % opts.sync_cadence == 0 || last_batch) {
-          trace_buffer.resize(exchange.block);
-          traces_to_buffer(phase.traces, trace_buffer.data());
-          comm.allreduce_mean(trace_buffer.data(), trace_buffer.size(),
-                              opts.algorithm);
-          buffer_to_traces(trace_buffer.data(), phase.traces);
-          phase.recompute();
+        if ((b + 1) % opts.sync_cadence == 0 || b + 1 == batches) {
+          phase.average(comm);
           ++sync_count;
         }
       }
       std::swap(current, next);
     }
-    // Traces are rank-identical here (exact every batch; approximate via
-    // the forced epoch-end average), so per-epoch structural plasticity
-    // makes the same swaps on every rank.
-    if (phase.end_epoch) phase.end_epoch();
+    if (phase.end_epoch) phase.end_epoch(epoch);
   }
+}
+
+// --- Phases ----------------------------------------------------------------
+
+/// A trace-training phase over (x, a) with `n_in` x `n_out` traces: the
+/// totals replay the trace EMA and cadence mode averages the traces.
+/// `recompute` rebuilds the weights from the traces.
+SyncPhase trace_phase(ProbabilityTraces& traces,
+                      const std::function<void()>& recompute, float alpha,
+                      std::size_t n_in, std::size_t n_out,
+                      comm::AllreduceAlgorithm algorithm) {
+  SyncPhase phase;
+  phase.block = trace_block_size(n_in, n_out);
+  phase.apply = [&traces, recompute, alpha](const float* totals,
+                                            std::size_t rows) {
+    apply_trace_ema(totals, rows, alpha, traces);
+    recompute();
+  };
+  phase.average = [&traces, recompute, algorithm,
+                   block = phase.block](comm::Communicator& comm) {
+    std::vector<float> buffer(block);
+    traces_to_buffer(traces, buffer.data());
+    comm.allreduce_mean(buffer.data(), buffer.size(), algorithm);
+    buffer_to_traces(buffer.data(), traces);
+    recompute();
+  };
+  return phase;
 }
 
 /// Unsupervised hidden-layer phase: schedule parameters all come from the
@@ -331,170 +346,122 @@ void run_unsupervised_phase(comm::Communicator& comm,
                             const tensor::MatrixF& x, std::uint64_t stream,
                             std::size_t& sync_count) {
   const BcpnnConfig& cfg = layer.config();
-  TracePhase phase{
-      layer.mutable_traces(),
-      [&layer] { layer.recompute_weights(); },
-      [&engine, &layer, &cfg](const tensor::MatrixF& shard_x,
-                              tensor::MatrixF& activations, float noise_std,
-                              util::Rng& noise_rng) {
-        engine.support(shard_x, layer.weights(), layer.bias().data(),
-                       activations);
-        if (noise_std > 0.0f) {
-          for (float& v : activations) {
-            v += static_cast<float>(noise_rng.normal(0.0, noise_std));
-          }
-        }
-        engine.softmax_hcu(activations, cfg.mcus, cfg.inverse_temperature);
-      },
-      cfg.alpha,
-      cfg.epochs,
-      cfg.batch_size,
-      [&cfg](std::size_t epoch) {
-        const float progress =
-            cfg.epochs > 1 ? static_cast<float>(epoch) /
-                                 static_cast<float>(cfg.epochs - 1)
-                           : 1.0f;
-        return cfg.noise_start + (cfg.noise_end - cfg.noise_start) * progress;
-      },
-      [&layer] { layer.plasticity_step(); },
-      mix(cfg.seed, stream)};
-  run_trace_phase(comm, opts, std::move(phase), x, nullptr,
-                  layer.hidden_units(), sync_count);
+  SyncPhase phase = trace_phase(
+      layer.mutable_traces(), [&layer] { layer.recompute_weights(); },
+      cfg.alpha, x.cols(), layer.hidden_units(), opts.algorithm);
+  phase.epochs = cfg.epochs;
+  phase.batch_size = cfg.batch_size;
+  phase.stream = mix(cfg.seed, stream);
+  tensor::MatrixF activations;
+  tensor::MatrixF pij_scratch;
+  phase.shard_stats = [&, noise_stream = phase.stream](
+                          const tensor::MatrixF& shard_x,
+                          const tensor::MatrixF*, const ShardId& id,
+                          float* slot) {
+    engine.support(shard_x, layer.weights(), layer.bias().data(),
+                   activations);
+    const float noise_std = cfg.noise_at(id.epoch);
+    if (noise_std > 0.0f) {
+      util::Rng noise_rng =
+          shard_noise_rng(noise_stream, id.epoch, id.batch, id.shard);
+      for (float& v : activations) {
+        v += static_cast<float>(noise_rng.normal(0.0, noise_std));
+      }
+    }
+    engine.softmax_hcu(activations, cfg.mcus, cfg.inverse_temperature);
+    accumulate_trace_stats(shard_x, activations, pij_scratch, slot);
+  };
+  phase.end_epoch = [&layer](std::size_t epoch) {
+    end_hidden_epoch(layer, epoch);
+  };
+  run_sync_phase(comm, opts, phase, x, nullptr, sync_count);
 }
 
 /// Supervised BCPNN head phase (shallow kBcpnn head and deep heads).
 void run_bcpnn_head_phase(comm::Communicator& comm,
                           const DistributedOptions& opts,
-                          BcpnnClassifier& head,
-                          const tensor::MatrixF& hidden,
+                          BcpnnClassifier& head, const tensor::MatrixF& hidden,
                           const tensor::MatrixF& targets, std::size_t epochs,
                           std::size_t batch_size, std::uint64_t stream,
+                          const std::function<void(std::size_t)>& end_epoch,
                           std::size_t& sync_count) {
-  TracePhase phase{head.mutable_traces(),
-                   [&head] { head.recompute_weights(); },
-                   {},
-                   head.alpha(),
-                   epochs,
-                   batch_size,
-                   {},
-                   {},
-                   stream};
-  run_trace_phase(comm, opts, std::move(phase), hidden, &targets,
-                  targets.cols(), sync_count);
+  SyncPhase phase = trace_phase(
+      head.mutable_traces(), [&head] { head.recompute_weights(); },
+      head.alpha(), hidden.cols(), targets.cols(), opts.algorithm);
+  phase.epochs = epochs;
+  phase.batch_size = batch_size;
+  phase.stream = stream;
+  tensor::MatrixF pij_scratch;
+  phase.shard_stats = [&pij_scratch](const tensor::MatrixF& shard_x,
+                                     const tensor::MatrixF* shard_t,
+                                     const ShardId&, float* slot) {
+    accumulate_trace_stats(shard_x, *shard_t, pij_scratch, slot);
+  };
+  phase.end_epoch = end_epoch;
+  run_sync_phase(comm, opts, phase, hidden, &targets, sync_count);
 }
 
-// --- SGD head --------------------------------------------------------------
-
+/// SGD head phase: the statistics are the un-normalized gradient X^T (p - t)
+/// and its bias column sums; cadence mode averages weights and bias
+/// (momentum stays local).
 void run_sgd_head_phase(comm::Communicator& comm,
                         const DistributedOptions& opts, SgdHead& head,
                         const tensor::MatrixF& hidden,
                         const tensor::MatrixF& targets, std::size_t epochs,
                         std::size_t batch_size, std::uint64_t stream,
+                        const std::function<void(std::size_t)>& end_epoch,
                         std::size_t& sync_count) {
-  const int rank = comm.rank();
-  const int world = comm.size();
-  const std::size_t n = hidden.rows();
   const std::size_t n_feat = hidden.cols();
   const std::size_t classes = targets.cols();
-  const std::size_t shards = static_cast<std::size_t>(opts.virtual_shards);
-  const bool exact = opts.sync_cadence <= 1;
-
-  LeafExchange exchange;
-  exchange.configure(shards, n_feat * classes + classes);
-
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  util::Rng order_rng(mix(stream, 0x5A55C0DEULL));
+  const std::size_t n_weights = n_feat * classes;
   tensor::MatrixF probs;
-  tensor::MatrixF grad_scratch(n_feat, classes);
   tensor::MatrixF grad(n_feat, classes);
   std::vector<float> bias_grad(classes);
-  std::vector<float> weight_buffer;
-  BatchShards current;
-  BatchShards next;
 
-  const std::size_t batches = (n + batch_size - 1) / batch_size;
-  for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
-    order_rng.shuffle(order);
-    pack_batch(hidden, &targets, order, 0, std::min(batch_size, n), shards,
-               rank, world, current);
-    for (std::size_t b = 0; b < batches; ++b) {
-      const std::size_t next_start = (b + 1) * batch_size;
-      exchange.reset();
-      for (std::size_t v = 0; v < shards; ++v) {
-        if (!owns_shard(v, rank, world) || current.rows_per_shard[v] == 0) {
-          continue;
-        }
-        const tensor::MatrixF& shard_x = current.x[v];
-        const tensor::MatrixF& shard_t = current.t[v];
-        head.predict(shard_x, probs);
-        // Softmax-cross-entropy residual, then the un-normalized partial
-        // gradient X^T (p - t) and its bias column sums.
-        for (std::size_t r = 0; r < probs.rows(); ++r) {
-          for (std::size_t c = 0; c < classes; ++c) {
-            probs(r, c) -= shard_t(r, c);
-          }
-        }
-        float* slot = exchange.slot(v);
-        tensor::gemm(tensor::Transpose::kYes, tensor::Transpose::kNo, 1.0f,
-                     shard_x, probs, 0.0f, grad_scratch);
-        std::copy_n(grad_scratch.data(), n_feat * classes, slot);
-        tensor::col_sums(probs, slot + n_feat * classes);
+  SyncPhase phase;
+  phase.epochs = epochs;
+  phase.batch_size = batch_size;
+  phase.stream = stream;
+  phase.block = n_weights + classes;
+  phase.shard_stats = [&](const tensor::MatrixF& shard_x,
+                          const tensor::MatrixF* shard_t, const ShardId&,
+                          float* slot) {
+    head.predict(shard_x, probs);
+    for (std::size_t r = 0; r < probs.rows(); ++r) {
+      for (std::size_t c = 0; c < classes; ++c) {
+        probs(r, c) -= (*shard_t)(r, c);
       }
-
-      const auto pack_next = [&] {
-        if (next_start < n) {
-          pack_batch(hidden, &targets, order, next_start,
-                     std::min(next_start + batch_size, n), shards, rank, world,
-                     next);
-        }
-      };
-
-      const auto apply_totals = [&](std::size_t rows) {
-        const float inv = 1.0f / static_cast<float>(rows);
-        std::copy_n(exchange.total.data(), n_feat * classes, grad.data());
-        tensor::scale(inv, grad.data(), grad.size());
-        std::copy_n(exchange.total.data() + n_feat * classes, classes,
-                    bias_grad.data());
-        tensor::scale(inv, bias_grad.data(), classes);
-        head.apply_gradient(grad, bias_grad);
-      };
-
-      if (exact) {
-        exchange.exchange(comm, opts.algorithm,
-                          opts.overlap ? std::function<void()>(pack_next)
-                                       : std::function<void()>{});
-        if (!opts.overlap) pack_next();
-        apply_totals(current.batch_rows);
-        ++sync_count;
-      } else {
-        exchange.combine_owned(rank, world);
-        if (current.local_rows > 0) apply_totals(current.local_rows);
-        pack_next();
-        const bool last_batch = b + 1 == batches;
-        if ((b + 1) % opts.sync_cadence == 0 || last_batch) {
-          // Average the replicated parameters (momentum stays local).
-          weight_buffer.resize(n_feat * classes + classes);
-          std::copy_n(head.weights().data(), n_feat * classes,
-                      weight_buffer.data());
-          std::copy_n(head.bias().data(), classes,
-                      weight_buffer.data() + n_feat * classes);
-          comm.allreduce_mean(weight_buffer.data(), weight_buffer.size(),
-                              opts.algorithm);
-          tensor::MatrixF averaged(n_feat, classes);
-          std::copy_n(weight_buffer.data(), n_feat * classes, averaged.data());
-          std::vector<float> averaged_bias(
-              weight_buffer.begin() +
-                  static_cast<std::ptrdiff_t>(n_feat * classes),
-              weight_buffer.end());
-          head.set_parameters(averaged, averaged_bias);  // momentum kept
-          ++sync_count;
-        }
-      }
-      std::swap(current, next);
     }
+    tensor::gemm(tensor::Transpose::kYes, tensor::Transpose::kNo, 1.0f,
+                 shard_x, probs, 0.0f, grad);
+    std::copy_n(grad.data(), n_weights, slot);
+    tensor::col_sums(probs, slot + n_weights);
+  };
+  phase.apply = [&](const float* totals, std::size_t rows) {
+    const float inv = 1.0f / static_cast<float>(rows);
+    std::copy_n(totals, n_weights, grad.data());
+    tensor::scale(inv, grad.data(), grad.size());
+    std::copy_n(totals + n_weights, classes, bias_grad.data());
+    tensor::scale(inv, bias_grad.data(), classes);
+    head.apply_gradient(grad, bias_grad);
+  };
+  phase.average = [&](comm::Communicator& world) {
+    std::vector<float> buffer(n_weights + classes);
+    std::copy_n(head.weights().data(), n_weights, buffer.data());
+    std::copy_n(head.bias().data(), classes, buffer.data() + n_weights);
+    world.allreduce_mean(buffer.data(), buffer.size(), opts.algorithm);
+    tensor::MatrixF averaged(n_feat, classes);
+    std::copy_n(buffer.data(), n_weights, averaged.data());
+    head.set_parameters(
+        averaged, std::vector<float>(
+                      buffer.begin() + static_cast<std::ptrdiff_t>(n_weights),
+                      buffer.end()));  // momentum kept
+  };
+  phase.end_epoch = [&head, &end_epoch](std::size_t epoch) {
     head.end_epoch();
-  }
+    end_epoch(epoch);
+  };
+  run_sync_phase(comm, opts, phase, hidden, &targets, sync_count);
 }
 
 // --- Replica plumbing ------------------------------------------------------
@@ -512,14 +479,24 @@ void train_replica(comm::Communicator& comm, const DistributedOptions& opts,
     net.mutable_hidden().forward(x, hidden);  // replicated, deterministic
     const tensor::MatrixF targets =
         data::one_hot_labels(labels, net.config().classes);
-    if (net.sgd_head() != nullptr) {
-      run_sgd_head_phase(comm, opts, *net.sgd_head(), hidden, targets,
-                         cfg.head_epochs, cfg.batch_size,
-                         mix(cfg.seed, /*stream=*/2), sync_count);
+    // Either head ends its epochs on the serial path's prune cadence.
+    if (SgdHead* head = net.sgd_head(); head != nullptr) {
+      run_sgd_head_phase(
+          comm, opts, *head, hidden, targets, cfg.head_epochs,
+          cfg.batch_size, mix(cfg.seed, /*stream=*/2),
+          [head, &cfg](std::size_t epoch) {
+            prune_on_cadence(*head, cfg, epoch);
+          },
+          sync_count);
     } else {
-      run_bcpnn_head_phase(comm, opts, *net.bcpnn_head(), hidden,
-                           targets, cfg.head_epochs, cfg.batch_size,
-                           mix(cfg.seed, /*stream=*/2), sync_count);
+      BcpnnClassifier* bcpnn = net.bcpnn_head();
+      run_bcpnn_head_phase(
+          comm, opts, *bcpnn, hidden, targets, cfg.head_epochs,
+          cfg.batch_size, mix(cfg.seed, /*stream=*/2),
+          [bcpnn, &cfg](std::size_t epoch) {
+            prune_on_cadence(*bcpnn, cfg, epoch);
+          },
+          sync_count);
     }
   } else {
     DeepBcpnn& deep = replica.deep();
@@ -538,9 +515,9 @@ void train_replica(comm::Communicator& comm, const DistributedOptions& opts,
     const tensor::MatrixF head_input = deep.transform(x);
     const tensor::MatrixF targets =
         data::one_hot_labels(labels, cfg.classes);
-    run_bcpnn_head_phase(comm, opts, deep.head(), head_input,
-                         targets, cfg.head_epochs, cfg.batch_size,
-                         mix(cfg.seed, /*stream=*/2), sync_count);
+    run_bcpnn_head_phase(comm, opts, deep.head(), head_input, targets,
+                         cfg.head_epochs, cfg.batch_size,
+                         mix(cfg.seed, /*stream=*/2), {}, sync_count);
   }
 
   // Schedule-agreement invariant over the new uint64 collective: a rank
@@ -557,29 +534,37 @@ void train_replica(comm::Communicator& comm, const DistributedOptions& opts,
 }
 
 /// Copy the trained state of `src` (a replica) into `dst` (the caller's
-/// compiled model with identical topology).
+/// compiled model with identical topology), prune keep-masks included.
+/// Each mask is adopted before the state, so the recompute applies it.
 void adopt_state(const Model& src, Model& dst) {
+  const auto adopt_layer = [](const BcpnnLayer& from, BcpnnLayer& to) {
+    to.set_prune_mask(from.prune_mask());
+    to.set_state(from.traces(), from.masks());
+  };
+  const auto adopt_head = [](const BcpnnClassifier& from,
+                             BcpnnClassifier& to) {
+    to.set_prune_mask(from.prune_mask());
+    to.mutable_traces() = from.traces();
+    to.recompute_weights();
+  };
   if (src.hidden_specs().size() == 1) {
     const Network& from = src.network();
     Network& to = dst.network();
-    to.mutable_hidden().set_state(from.hidden().traces(),
-                                  from.hidden().masks());
+    adopt_layer(from.hidden(), to.mutable_hidden());
     if (from.sgd_head() != nullptr) {
+      to.sgd_head()->set_prune_mask(from.sgd_head()->prune_mask());
       to.sgd_head()->set_state(from.sgd_head()->weights(),
                                from.sgd_head()->bias());
     } else {
-      to.bcpnn_head()->mutable_traces() = from.bcpnn_head()->traces();
-      to.bcpnn_head()->recompute_weights();
+      adopt_head(*from.bcpnn_head(), *to.bcpnn_head());
     }
   } else {
     const DeepBcpnn& from = src.deep();
     DeepBcpnn& to = dst.deep();
     for (std::size_t l = 0; l < from.depth(); ++l) {
-      to.mutable_layer(l).set_state(from.layer(l).traces(),
-                                    from.layer(l).masks());
+      adopt_layer(from.layer(l), to.mutable_layer(l));
     }
-    to.head().mutable_traces() = from.head().traces();
-    to.head().recompute_weights();
+    adopt_head(from.head(), to.head());
   }
 }
 
@@ -676,109 +661,6 @@ DistributedReport fit_distributed(Model& model, const tensor::MatrixF& x,
                                   const std::vector<int>& labels,
                                   const DistributedOptions& options) {
   return DistributedTrainer(options).fit(model, x, labels);
-}
-
-DistributedReport distributed_unsupervised_fit(BcpnnLayer& layer,
-                                               const tensor::MatrixF& x,
-                                               int ranks) {
-  const BcpnnConfig cfg = layer.config();
-  DistributedReport report;
-  report.ranks = ranks;
-  util::Stopwatch watch;
-
-  // Final state captured from rank 0.
-  std::unique_ptr<ProbabilityTraces> final_traces;
-  std::unique_ptr<ReceptiveFieldMasks> final_masks;
-  // Only rank 0 writes and the writes happen-before the join, but the
-  // lock keeps the capture protocol explicit (and future-proof against a
-  // multi-writer capture).
-  sb::Mutex result_mutex;
-  std::size_t sync_count = 0;
-
-  const comm::RunStats stats = comm::run_reported(
-      ranks, [&](comm::Communicator& comm) {
-    const int rank = comm.rank();
-    const int world = comm.size();
-
-    // Same seed everywhere: identical initial masks and traces. Only the
-    // noise RNG is split per rank (different shards explore differently;
-    // trace averaging merges them).
-    auto engine = parallel::EngineRegistry::instance().create(cfg.engine);
-    util::Rng mask_rng(cfg.seed);
-    BcpnnLayer local(cfg, *engine, mask_rng);
-    util::Rng noise_rng(cfg.seed ^ (0x9E3779B9ULL * (rank + 1)));
-
-    // Round-robin shard of the row indices.
-    std::vector<std::size_t> shard;
-    for (std::size_t r = static_cast<std::size_t>(rank); r < x.rows();
-         r += static_cast<std::size_t>(world)) {
-      shard.push_back(r);
-    }
-    // Every rank must execute the same number of batches so the allreduce
-    // schedule matches; pad the smallest shards by wrapping.
-    const std::size_t max_shard = (x.rows() + world - 1) / world;
-    const std::size_t original_size = shard.size();
-    while (shard.size() < max_shard && original_size > 0) {
-      shard.push_back(shard[(shard.size() - original_size) % original_size]);
-    }
-    const std::size_t batches_per_epoch =
-        (max_shard + cfg.batch_size - 1) / cfg.batch_size;
-
-    tensor::MatrixF batch;
-    std::size_t local_syncs = 0;
-    for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
-      const float progress =
-          cfg.epochs > 1
-              ? static_cast<float>(epoch) / static_cast<float>(cfg.epochs - 1)
-              : 1.0f;
-      const float noise =
-          cfg.noise_start + (cfg.noise_end - cfg.noise_start) * progress;
-      noise_rng.shuffle(shard);
-      for (std::size_t b = 0; b < batches_per_epoch; ++b) {
-        const std::size_t start = b * cfg.batch_size;
-        const std::size_t end = std::min(start + cfg.batch_size, shard.size());
-        if (start >= end) break;
-        batch.resize(end - start, x.cols());
-        for (std::size_t r = start; r < end; ++r) {
-          std::copy_n(x.row(shard[r]), x.cols(), batch.row(r - start));
-        }
-        local.train_batch(batch, noise);
-
-        // Synchronize traces: one allreduce per batch. This is ALL the
-        // communication BCPNN data-parallelism needs.
-        auto& traces = local.mutable_traces();
-        comm.allreduce_mean(traces.mutable_pi().data(), traces.pi().size());
-        comm.allreduce_mean(traces.mutable_pj().data(), traces.pj().size());
-        comm.allreduce_mean(traces.mutable_pij().data(),
-                            traces.pij().size());
-        local.recompute_weights();
-        ++local_syncs;
-      }
-      // Identical traces -> identical plasticity decision on every rank.
-      local.plasticity_step();
-    }
-
-    if (rank == 0) {
-      const sb::MutexLock lock(result_mutex);
-      final_traces = std::make_unique<ProbabilityTraces>(local.traces());
-      final_masks = std::make_unique<ReceptiveFieldMasks>(local.masks());
-      sync_count = local_syncs;
-    }
-    comm.barrier();
-  });
-
-  if (final_traces && final_masks) {
-    layer.set_state(*final_traces, *final_masks);
-  }
-  report.seconds = watch.seconds();
-  report.bytes_per_rank = stats.bytes_per_rank.empty()
-                              ? 0
-                              : stats.bytes_per_rank[0];
-  // True per-rank sum — NOT rank 0's counter times the world size, which
-  // over- or under-counts whenever traffic is asymmetric across ranks.
-  report.total_bytes = stats.total_bytes;
-  report.sync_count = sync_count;
-  return report;
 }
 
 }  // namespace streambrain::core

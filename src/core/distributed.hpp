@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "comm/communicator.hpp"
-#include "core/layer.hpp"
 #include "core/model.hpp"
 #include "tensor/matrix.hpp"
 
@@ -76,10 +75,11 @@ struct DistributedReport {
 };
 
 /// Full-model data-parallel trainer. Equivalent to `model.fit(x, labels)`
-/// in schedule shape (unsupervised hidden phase(s), then the supervised
-/// head), but sharded over `options.ranks` simulated ranks. With the
-/// default sync_cadence == 1 the trained state is bit-identical for every
-/// rank count.
+/// in schedule shape (unsupervised hidden phase(s) with the same annealed
+/// noise, plasticity and prune cadence, then the supervised head), but
+/// sharded over `options.ranks` simulated ranks. With the default
+/// sync_cadence == 1 the trained state is bit-identical for every rank
+/// count.
 class DistributedTrainer {
  public:
   explicit DistributedTrainer(DistributedOptions options = {});
@@ -113,19 +113,5 @@ class DistributedTrainer {
 DistributedReport fit_distributed(Model& model, const tensor::MatrixF& x,
                                   const std::vector<int>& labels,
                                   const DistributedOptions& options = {});
-
-/// Unsupervised data-parallel training of `layer` on encoded inputs `x` —
-/// the legacy single-layer entry point (one trace allreduce_mean per
-/// batch, rows sharded round-robin). New code should train a full model
-/// through DistributedTrainer instead.
-///
-/// Rows are sharded round-robin across `ranks` simulated ranks; every rank
-/// runs the identical annealing schedule and plasticity steps (which stay
-/// deterministic because traces are identical after each allreduce). On
-/// return, `layer` holds the synchronized state. With ranks == 1 this
-/// degenerates to ordinary training.
-DistributedReport distributed_unsupervised_fit(BcpnnLayer& layer,
-                                               const tensor::MatrixF& x,
-                                               int ranks);
 
 }  // namespace streambrain::core

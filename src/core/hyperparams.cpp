@@ -12,6 +12,14 @@ std::size_t BcpnnConfig::mask_cardinality() const noexcept {
   return std::clamp<std::size_t>(k, 1, input_hypercolumns);
 }
 
+float BcpnnConfig::noise_at(std::size_t epoch) const noexcept {
+  const float progress =
+      epochs > 1
+          ? static_cast<float>(epoch) / static_cast<float>(epochs - 1)
+          : 1.0f;
+  return noise_start + (noise_end - noise_start) * progress;
+}
+
 void BcpnnConfig::apply(const util::Config& config) {
   hcus = static_cast<std::size_t>(config.get_int("hcus", static_cast<long long>(hcus)));
   mcus = static_cast<std::size_t>(config.get_int("mcus", static_cast<long long>(mcus)));

@@ -70,6 +70,10 @@ struct BcpnnConfig {
   }
   /// Active input hypercolumns per hidden HCU (at least 1).
   [[nodiscard]] std::size_t mask_cardinality() const noexcept;
+  /// Support-noise std of unsupervised `epoch`: linear from noise_start
+  /// at epoch 0 to noise_end at the last epoch (noise_end when there is
+  /// only one epoch). The only annealing formula of the schedule.
+  [[nodiscard]] float noise_at(std::size_t epoch) const noexcept;
 
   /// Overlay values from a Config (keys: hcus, mcus, receptive_field,
   /// alpha, alpha_supervised, k_beta, inverse_temperature, noise_start,

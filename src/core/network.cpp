@@ -1,6 +1,5 @@
 #include "core/network.hpp"
 
-#include <numeric>
 #include <stdexcept>
 
 #include "data/dataset.hpp"
@@ -30,43 +29,9 @@ Network::Network(NetworkConfig config)
 
 FitReport Network::fit_unsupervised(const tensor::MatrixF& x) {
   FitReport report;
-  const auto& cfg = config_.bcpnn;
-  const std::size_t n = x.rows();
-
   util::Stopwatch unsup_watch;
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  tensor::MatrixF batch;
-  for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
-    const float progress =
-        cfg.epochs > 1
-            ? static_cast<float>(epoch) / static_cast<float>(cfg.epochs - 1)
-            : 1.0f;
-    const float noise =
-        cfg.noise_start + (cfg.noise_end - cfg.noise_start) * progress;
-    rng_.shuffle(order);
-    for (std::size_t start = 0; start < n; start += cfg.batch_size) {
-      const std::size_t end = std::min(start + cfg.batch_size, n);
-      batch.resize(end - start, x.cols());
-      for (std::size_t r = start; r < end; ++r) {
-        std::copy_n(x.row(order[r]), x.cols(), batch.row(r - start));
-      }
-      hidden_->train_batch(batch, noise);
-    }
-    EpochInfo info;
-    info.epoch = epoch;
-    info.noise_std = noise;
-    info.plasticity_swaps = hidden_->plasticity_step();
-    report.total_plasticity_swaps += info.plasticity_swaps;
-    // In-training prune/rewire cadence: re-select the magnitude keep-mask
-    // right after the structural-plasticity step, so a swapped-in
-    // connection competes for survival on its fresh weights.
-    if (cfg.prune_cadence > 0 && cfg.prune_density < 1.0 &&
-        (epoch + 1) % cfg.prune_cadence == 0) {
-      hidden_->prune_to_density(cfg.prune_density);
-    }
-    if (epoch_callback_) epoch_callback_(info, *hidden_);
-  }
+  report.total_plasticity_swaps =
+      fit_hidden_layer(*hidden_, x, rng_, epoch_callback_);
   report.unsupervised_seconds = unsup_watch.seconds();
   return report;
 }
@@ -91,45 +56,20 @@ double Network::fit_head(const tensor::MatrixF& x,
   const tensor::MatrixF hidden_repr = transform(x);
   const tensor::MatrixF targets =
       data::one_hot_labels(labels, config_.classes);
-  double last_loss = 0.0;
-  const bool head_prune_cadence =
-      cfg.prune_cadence > 0 && cfg.prune_density < 1.0;
+  // Same prune/rewire cadence as the hidden layer, applied to either head
+  // type: the mask pins pruned weights at zero between re-selections.
   if (config_.head == HeadType::kSgd) {
+    double last_loss = 0.0;
     for (std::size_t epoch = 0; epoch < cfg.head_epochs; ++epoch) {
       last_loss = sgd_head_->train_epoch(hidden_repr, targets);
-      // Same prune/rewire cadence as the hidden layer (applied to either
-      // head type): the mask pins pruned weights at zero between
-      // re-selections.
-      if (head_prune_cadence && (epoch + 1) % cfg.prune_cadence == 0) {
-        sgd_head_->prune_to_density(cfg.prune_density);
-      }
+      prune_on_cadence(*sgd_head_, cfg, epoch);
     }
     return last_loss;
   }
-  // BCPNN head: batched trace updates over the epochs.
-  const std::size_t n = hidden_repr.rows();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  tensor::MatrixF batch_h;
-  tensor::MatrixF batch_t;
-  for (std::size_t epoch = 0; epoch < cfg.head_epochs; ++epoch) {
-    rng_.shuffle(order);
-    for (std::size_t start = 0; start < n; start += cfg.batch_size) {
-      const std::size_t end = std::min(start + cfg.batch_size, n);
-      batch_h.resize(end - start, hidden_repr.cols());
-      batch_t.resize(end - start, config_.classes);
-      for (std::size_t r = start; r < end; ++r) {
-        std::copy_n(hidden_repr.row(order[r]), hidden_repr.cols(),
-                    batch_h.row(r - start));
-        std::copy_n(targets.row(order[r]), config_.classes,
-                    batch_t.row(r - start));
-      }
-      bcpnn_head_->train_batch(batch_h, batch_t);
-    }
-    if (head_prune_cadence && (epoch + 1) % cfg.prune_cadence == 0) {
-      bcpnn_head_->prune_to_density(cfg.prune_density);
-    }
-  }
+  fit_bcpnn_head(*bcpnn_head_, hidden_repr, targets, cfg.head_epochs,
+                 cfg.batch_size, rng_, [this, &cfg](std::size_t epoch) {
+                   prune_on_cadence(*bcpnn_head_, cfg, epoch);
+                 });
   return 0.0;
 }
 

@@ -18,6 +18,7 @@
 #include "core/head.hpp"
 #include "core/hyperparams.hpp"
 #include "core/layer.hpp"
+#include "core/schedule.hpp"
 #include "core/sgd_head.hpp"
 #include "parallel/engine.hpp"
 #include "tensor/matrix.hpp"
@@ -29,14 +30,6 @@ struct NetworkConfig {
   HeadType head = HeadType::kBcpnn;
   std::size_t classes = 2;
   SgdHeadConfig sgd;
-};
-
-/// Per-epoch progress snapshot handed to the epoch callback (this is the
-/// hook the CatalystAdaptor subscribes through).
-struct EpochInfo {
-  std::size_t epoch = 0;       ///< unsupervised epoch index
-  float noise_std = 0.0f;      ///< annealed support noise this epoch
-  std::size_t plasticity_swaps = 0;
 };
 
 struct FitReport {
@@ -52,8 +45,6 @@ class Network {
  public:
   explicit Network(NetworkConfig config);
 
-  using EpochCallback =
-      std::function<void(const EpochInfo&, const BcpnnLayer&)>;
   void set_epoch_callback(EpochCallback callback) {
     epoch_callback_ = std::move(callback);
   }
@@ -88,8 +79,9 @@ class Network {
   }
   [[nodiscard]] parallel::Engine& engine() noexcept { return *engine_; }
 
-  /// Train only the head on a frozen (e.g. distributed-trained) hidden
-  /// layer. Exposed so the distributed path reuses the head logic.
+  /// Phase 2 only: train the head on the frozen hidden representation
+  /// (the semi-supervised mode's labeled pass). Returns the last SGD
+  /// epoch's mean loss (0 for the BCPNN head).
   double fit_head(const tensor::MatrixF& x, const std::vector<int>& labels);
 
   /// Convert hidden layer + head to the compact read-only sparse

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/pruning.hpp"
+#include "core/schedule.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/kernels.hpp"
 
@@ -59,25 +60,15 @@ double SgdHead::train_epoch(const tensor::MatrixF& features,
   std::iota(order.begin(), order.end(), 0);
   rng_.shuffle(order);
 
-  tensor::MatrixF batch_x;
-  tensor::MatrixF batch_t;
   tensor::MatrixF probs;
   tensor::MatrixF grad(weights_.rows(), classes_);
   std::vector<float> bias_grad(classes_);
   double total_loss = 0.0;
-  std::size_t batches = 0;
 
-  for (std::size_t start = 0; start < n; start += config_.batch_size) {
-    const std::size_t end = std::min(start + config_.batch_size, n);
-    const std::size_t b = end - start;
-    batch_x.resize(b, features.cols());
-    batch_t.resize(b, classes_);
-    for (std::size_t r = 0; r < b; ++r) {
-      std::copy_n(features.row(order[start + r]), features.cols(),
-                  batch_x.row(r));
-      std::copy_n(targets.row(order[start + r]), classes_, batch_t.row(r));
-    }
-
+  for_each_batch(features, &targets, order, config_.batch_size,
+                 [&](const tensor::MatrixF& batch_x,
+                     const tensor::MatrixF& batch_t) {
+    const std::size_t b = batch_x.rows();
     forward(batch_x, probs);
 
     // Cross-entropy loss + softmax gradient (probs - targets).
@@ -89,7 +80,6 @@ double SgdHead::train_epoch(const tensor::MatrixF& features,
         probs(r, c) -= batch_t(r, c);
       }
     }
-    ++batches;
 
     // grad = X^T (probs - targets) / b  (+ L2)
     tensor::gemm(tensor::Transpose::kYes, tensor::Transpose::kNo,
@@ -107,9 +97,9 @@ double SgdHead::train_epoch(const tensor::MatrixF& features,
     tensor::momentum_update(mu, lr, 0.0f, bias_grad.data(), bias_.data(),
                             bias_velocity_.data(), classes_);
     apply_prune_mask();
-  }
+  });
   current_lr_ *= config_.learning_rate_decay;
-  return batches > 0 ? total_loss / static_cast<double>(n) : 0.0;
+  return n > 0 ? total_loss / static_cast<double>(n) : 0.0;
 }
 
 void SgdHead::apply_gradient(const tensor::MatrixF& grad,

@@ -61,15 +61,4 @@ class Engine {
   [[nodiscard]] virtual std::uint64_t transfer_bytes() const { return 0; }
 };
 
-/// Compatibility shim over EngineRegistry::instance().create(name) — see
-/// parallel/engine_registry.hpp. Resolves any registered engine (the
-/// built-ins "naive", "openmp", "simd", "device_sim" plus user-registered
-/// ones). Throws std::invalid_argument for unknown names. New code should
-/// call the registry directly.
-std::unique_ptr<Engine> make_engine(const std::string& name);
-
-/// Names of the built-in engines, in registration order. For the full
-/// set including user-registered engines use EngineRegistry::names().
-const std::vector<std::string>& engine_names();
-
 }  // namespace streambrain::parallel

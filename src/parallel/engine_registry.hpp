@@ -1,10 +1,9 @@
 #pragma once
-// Open, thread-safe registry of compute engines — the extension point that
-// replaces the old closed `make_engine` string switch. The four built-in
-// engines (naive / openmp / simd / device_sim) self-register with
-// capability metadata; user code can plug in custom engines and resolve
-// them anywhere an engine name is accepted (Model::compile, NetworkConfig,
-// the bench and example drivers):
+// Open, thread-safe registry of compute engines — the one place engines
+// are created by name. The four built-in engines (naive / openmp / simd /
+// device_sim) self-register with capability metadata; user code can plug
+// in custom engines and resolve them anywhere an engine name is accepted
+// (Model::compile, NetworkConfig, the bench and example drivers):
 //
 //   parallel::EngineRegistry::instance().register_engine(
 //       {.name = "my_engine", .description = "...", .simd_width = 8},

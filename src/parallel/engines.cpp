@@ -374,14 +374,4 @@ void register_builtin_engines(EngineRegistry& registry) {
 
 }  // namespace detail
 
-std::unique_ptr<Engine> make_engine(const std::string& name) {
-  return EngineRegistry::instance().create(name);
-}
-
-const std::vector<std::string>& engine_names() {
-  static const std::vector<std::string> names = {"naive", "openmp", "simd",
-                                                 "device_sim"};
-  return names;
-}
-
 }  // namespace streambrain::parallel

@@ -1,7 +1,6 @@
 #pragma once
-// Grain-controlled parallel loop helpers. OpenMP is the default execution
-// vehicle; `parallel_for_pool` uses the ThreadPool (for contexts already
-// inside an OpenMP region, where nesting is usually disabled).
+// Grain-controlled parallel loop over the ThreadPool (usable inside an
+// OpenMP region, where OpenMP nesting is usually disabled).
 
 #include <cstddef>
 #include <functional>
@@ -11,31 +10,8 @@
 
 namespace streambrain::parallel {
 
-/// Invoke body(i) for i in [begin, end) using OpenMP with static schedule.
-template <typename Body>
-void parallel_for(std::size_t begin, std::size_t end, const Body& body) {
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = begin; i < end; ++i) body(i);
-}
-
-/// Invoke body(begin, end) on contiguous chunks of at least `grain`
-/// iterations, via OpenMP tasks-free static partitioning.
-template <typename Body>
-void parallel_for_chunked(std::size_t begin, std::size_t end,
-                          std::size_t grain, const Body& body) {
-  if (end <= begin) return;
-  const std::size_t total = end - begin;
-  if (grain == 0) grain = 1;
-  const std::size_t chunks = (total + grain - 1) / grain;
-#pragma omp parallel for schedule(static)
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * grain;
-    const std::size_t hi = std::min(lo + grain, end);
-    body(lo, hi);
-  }
-}
-
-/// ThreadPool-backed variant; blocks until every chunk completes.
+/// Invoke body(lo, hi) on contiguous chunks of `grain` iterations on
+/// `pool`; blocks until every chunk completes.
 void parallel_for_pool(ThreadPool& pool, std::size_t begin, std::size_t end,
                        std::size_t grain,
                        const std::function<void(std::size_t, std::size_t)>& body);

@@ -1,7 +1,7 @@
 #pragma once
 // Fixed-size worker pool with a shared task queue. Used by the comm
-// substrate (ranks) and by parallel_for when OpenMP is not wanted (e.g.
-// nested inside an OpenMP region).
+// substrate (ranks) and by parallel_for_pool when OpenMP is not wanted
+// (e.g. nested inside an OpenMP region).
 
 #include <cstddef>
 #include <functional>

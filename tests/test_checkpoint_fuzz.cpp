@@ -26,7 +26,7 @@
 #include "core/model.hpp"
 #include "core/pruning.hpp"
 #include "core/serialization.hpp"
-#include "parallel/engine.hpp"
+#include "parallel/engine_registry.hpp"
 #include "util/rng.hpp"
 
 namespace sc = streambrain::core;
@@ -72,7 +72,7 @@ st::MatrixF encoded_events(std::size_t rows, std::uint64_t seed) {
 // tags), so the v2/v1 down-converters below stay valid.
 std::string current_layer_bytes(bool pruned) {
   const auto config = layer_config();
-  auto engine = sp::make_engine("simd");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   su::Rng rng(7);
   sc::BcpnnLayer layer(config, *engine, rng);
   const auto x = encoded_events(60, 5);
@@ -175,7 +175,7 @@ void try_load(Kind kind, const std::string& bytes) {
       sc::load_model(in, target);
     } else {
       const auto config = layer_config();
-      auto engine = sp::make_engine("simd");
+      auto engine = sp::EngineRegistry::instance().create("simd");
       su::Rng rng(3);
       sc::BcpnnLayer target(config, *engine, rng);
       const std::string path =

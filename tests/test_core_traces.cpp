@@ -8,7 +8,7 @@
 
 #include "core/plasticity.hpp"
 #include "core/traces.hpp"
-#include "parallel/engine.hpp"
+#include "parallel/engine_registry.hpp"
 #include "util/rng.hpp"
 
 namespace sc = streambrain::core;
@@ -45,7 +45,7 @@ TEST(Traces, MassPreservedUnderOneHotUpdates) {
   // Property: with one-hot inputs and soft-WTA activations (both sum to 1
   // per hypercolumn), trace updates preserve the per-hypercolumn mass.
   sc::ProbabilityTraces traces(20, 10, 8, 4);
-  auto engine = sp::make_engine("simd");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   su::Rng rng(31);
   st::MatrixF x(16, 20, 0.0f);
   st::MatrixF a(16, 8, 0.0f);
@@ -78,7 +78,7 @@ TEST(Traces, MassPreservedUnderOneHotUpdates) {
 TEST(Traces, ConvergesToEmpiricalFrequencies) {
   // Feeding the same deterministic pattern forever drives traces to it.
   sc::ProbabilityTraces traces(10, 10, 4, 4);
-  auto engine = sp::make_engine("naive");
+  auto engine = sp::EngineRegistry::instance().create("naive");
   st::MatrixF x(1, 10, 0.0f);
   x(0, 3) = 1.0f;
   st::MatrixF a(1, 4, 0.0f);
@@ -93,7 +93,7 @@ TEST(Traces, ConvergesToEmpiricalFrequencies) {
 
 TEST(Traces, UpdateRejectsShapeMismatch) {
   sc::ProbabilityTraces traces(10, 10, 4, 4);
-  auto engine = sp::make_engine("naive");
+  auto engine = sp::EngineRegistry::instance().create("naive");
   st::MatrixF x(2, 8);
   st::MatrixF a(2, 4);
   EXPECT_THROW(traces.update(*engine, x, a, 0.1f), std::invalid_argument);
@@ -135,7 +135,7 @@ namespace {
 /// activation and hypercolumn 1 is independent of it.
 sc::ProbabilityTraces correlated_traces() {
   sc::ProbabilityTraces traces(8, 4, 4, 4);  // 2 input HCs x 4 bins, 1 HCU x 4
-  auto engine = sp::make_engine("naive");
+  auto engine = sp::EngineRegistry::instance().create("naive");
   su::Rng rng(47);
   st::MatrixF x(1, 8, 0.0f);
   st::MatrixF a(1, 4, 0.0f);
@@ -201,7 +201,7 @@ TEST(Plasticity, SwapsTowardInformativeInput) {
 
 TEST(Plasticity, CardinalityConservedUnderManySteps) {
   sc::ProbabilityTraces traces(280, 10, 40, 40);
-  auto engine = sp::make_engine("simd");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   su::Rng rng(59);
   sc::ReceptiveFieldMasks masks(1, 28, 11, rng);
   st::MatrixF x(8, 280, 0.0f);

@@ -23,9 +23,7 @@
 #include "data/higgs.hpp"
 #include "encode/one_hot.hpp"
 #include "golden_util.hpp"
-#include "parallel/engine_registry.hpp"
 #include "tensor/kernel_set.hpp"
-#include "util/rng.hpp"
 
 namespace sc = streambrain::core;
 namespace st = streambrain::tensor;
@@ -448,15 +446,23 @@ TEST(Distributed, ReportTotalBytesIsSumOfPerRankCounters) {
   // ranks * bytes_per_rank here; the asymmetric-traffic case (where the
   // old rank0 * world extrapolation over-counts) is locked down by
   // CommProperty.RootedCollectiveBytesAreAsymmetric.
-  const auto snap = train_snapshot(make_shallow(sc::HeadType::kBcpnn),
-                                   {.ranks = 3});
-  EXPECT_EQ(snap.report.total_bytes, snap.report.bytes_per_rank * 3);
-  EXPECT_EQ(snap.report.ranks, 3);
+  std::uint64_t fewer_ranks_total = 0;
+  for (const int ranks : {2, 3}) {
+    const auto snap = train_snapshot(make_shallow(sc::HeadType::kBcpnn),
+                                     {.ranks = ranks});
+    EXPECT_EQ(snap.report.total_bytes,
+              snap.report.bytes_per_rank * static_cast<std::uint64_t>(ranks));
+    EXPECT_EQ(snap.report.ranks, ranks);
+    // More ranks -> more total traffic.
+    EXPECT_GT(snap.report.total_bytes, fewer_ranks_total);
+    fewer_ranks_total = snap.report.total_bytes;
+  }
 }
 
 TEST(Distributed, SingleRankSendsNothing) {
   const auto snap =
       train_snapshot(make_shallow(sc::HeadType::kBcpnn), {.ranks = 1});
+  EXPECT_EQ(snap.report.ranks, 1);
   EXPECT_EQ(snap.report.bytes_per_rank, 0u);
   EXPECT_EQ(snap.report.total_bytes, 0u);
   EXPECT_GT(snap.report.sync_count, 0u);  // reductions still scheduled
@@ -472,8 +478,48 @@ TEST(Distributed, TrainedModelActuallyLearns) {
       .set_option("head_epochs", 16)
       .set_option("batch_size", 32)
       .compile("simd", /*seed=*/11);
-  sc::fit_distributed(model, data.x_train, data.y_train, {.ranks = 4});
+  const auto report =
+      sc::fit_distributed(model, data.x_train, data.y_train, {.ranks = 4});
+  EXPECT_GT(report.bytes_per_rank, 0u);
   EXPECT_GT(model.evaluate(data.x_train, data.y_train), 0.6);
+}
+
+TEST(Distributed, PruneCadenceMatchesSerialScheduleAtEveryRankCount) {
+  // Model::fit re-selects the hidden layer's and the head's magnitude
+  // keep-masks on the prune cadence; the distributed schedule ends its
+  // epochs with the same step. Traces are rank-identical at epoch end,
+  // so the masks (and every learned bit) agree across rank counts.
+  const FixtureData& data = fixture();
+  for (const auto head : {sc::HeadType::kBcpnn, sc::HeadType::kSgd}) {
+    std::vector<std::vector<float>> states;
+    std::vector<std::vector<std::uint8_t>> masks;
+    for (const int ranks : {1, 2, 3}) {
+      sc::Model model;
+      model.input(28, 10)
+          .hidden(1, 20, 0.4)
+          .classifier(2, head)
+          .set_option("epochs", 2)
+          .set_option("head_epochs", 2)
+          .set_option("batch_size", 32)
+          .set_option("prune_density", 0.2)
+          .set_option("prune_cadence", 1)
+          .compile("simd", /*seed=*/11);
+      sc::fit_distributed(model, data.x_train, data.y_train, {.ranks = ranks});
+      const sc::Network& net = model.network();
+      const std::string what = "ranks=" + std::to_string(ranks);
+      EXPECT_LE(net.hidden().weight_density(), 0.2 + 1e-3) << what;
+      const double head_density = net.sgd_head() != nullptr
+                                      ? net.sgd_head()->weight_density()
+                                      : net.bcpnn_head()->weight_density();
+      EXPECT_LE(head_density, 0.2 + 1e-3) << what;
+      states.push_back(state_vector(model));
+      masks.push_back(net.hidden().prune_mask());
+    }
+    for (std::size_t i = 1; i < states.size(); ++i) {
+      EXPECT_EQ(states[i], states[0]) << "rank count #" << i;
+      EXPECT_EQ(masks[i], masks[0]) << "rank count #" << i;
+    }
+  }
 }
 
 TEST(Distributed, CheckpointRoundTripAfterDistributedFit) {
@@ -503,30 +549,4 @@ TEST(Distributed, ValidatesOptionsAndInputs) {
                                 data.y_train.end() - 1);
   EXPECT_THROW(sc::fit_distributed(model, data.x_train, short_labels, {}),
                std::invalid_argument);
-}
-
-// --- Legacy single-layer entry point ---------------------------------------
-
-TEST(Distributed, LegacyUnsupervisedFitReportsTrueTotals) {
-  const FixtureData& data = fixture();
-  sc::BcpnnConfig config;
-  config.input_hypercolumns = 28;
-  config.input_bins = 10;
-  config.hcus = 1;
-  config.mcus = 12;
-  config.receptive_field = 0.4;
-  config.epochs = 2;
-  config.batch_size = 32;
-  config.seed = 5;
-  auto engine = streambrain::parallel::EngineRegistry::instance().create(
-      config.engine);
-  streambrain::util::Rng rng(config.seed);
-  sc::BcpnnLayer layer(config, *engine, rng);
-  const auto report =
-      sc::distributed_unsupervised_fit(layer, data.x_train, /*ranks=*/3);
-  EXPECT_EQ(report.ranks, 3);
-  EXPECT_GT(report.sync_count, 0u);
-  EXPECT_GT(report.bytes_per_rank, 0u);
-  // Symmetric collectives: the true sum equals ranks * per-rank bytes.
-  EXPECT_EQ(report.total_bytes, report.bytes_per_rank * 3);
 }

@@ -188,11 +188,3 @@ TEST(EngineRegistry, CustomEngineTrainsAModelEndToEnd) {
   EXPECT_GT(model.evaluate(x_test, test.labels), 0.52);
   EXPECT_GT(g_custom_support_calls.load(), 0);
 }
-
-TEST(EngineRegistry, MakeEngineShimStillResolves) {
-  // Back-compat: the old free function now routes through the registry.
-  const auto engine = sp::make_engine("openmp");
-  ASSERT_NE(engine, nullptr);
-  EXPECT_EQ(engine->name(), "openmp");
-  EXPECT_THROW((void)sp::make_engine("fpga"), std::invalid_argument);
-}

@@ -12,6 +12,7 @@
 #include "data/higgs.hpp"
 #include "encode/one_hot.hpp"
 #include "metrics/classification.hpp"
+#include "parallel/engine_registry.hpp"
 #include "util/rng.hpp"
 
 namespace sc = streambrain::core;
@@ -133,7 +134,7 @@ TEST(AdaptivePlasticity, BudgetStaysWithinBounds) {
   sc::AdaptivePlasticityController controller(config);
 
   auto net_config = small_network();
-  auto engine = sp::make_engine("simd");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   su::Rng rng(7);
   sc::BcpnnLayer layer(net_config.bcpnn, *engine, rng);
   const auto data = encoded_higgs(300, 50, 33);
@@ -158,7 +159,7 @@ TEST(AdaptivePlasticity, BudgetShrinksAfterConvergence) {
 
   auto net_config = small_network();
   net_config.bcpnn.mcus = 20;
-  auto engine = sp::make_engine("simd");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   su::Rng rng(11);
   sc::BcpnnLayer layer(net_config.bcpnn, *engine, rng);
   const auto data = encoded_higgs(200, 50, 37);
@@ -172,7 +173,7 @@ TEST(AdaptivePlasticity, BudgetShrinksAfterConvergence) {
 
 TEST(AdaptivePlasticity, MaskMiMatchesManualSum) {
   auto net_config = small_network();
-  auto engine = sp::make_engine("simd");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   su::Rng rng(13);
   sc::BcpnnLayer layer(net_config.bcpnn, *engine, rng);
   const auto data = encoded_higgs(200, 50, 41);
@@ -195,7 +196,7 @@ TEST(AdaptivePlasticity, MaskMiMatchesManualSum) {
 TEST(Spiking, ActivationsAreNormalizedSpikeCounts) {
   auto net_config = small_network();
   net_config.bcpnn.mcus = 8;
-  auto engine = sp::make_engine("simd");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   su::Rng rng(17);
   sc::BcpnnLayer layer(net_config.bcpnn, *engine, rng);
   const auto data = encoded_higgs(20, 10, 43);
@@ -220,7 +221,7 @@ TEST(Spiking, ConvergesToRateCodeWithManyTimesteps) {
   auto net_config = small_network();
   net_config.bcpnn.mcus = 6;
   net_config.bcpnn.epochs = 3;
-  auto engine = sp::make_engine("simd");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   su::Rng rng(19);
   sc::BcpnnLayer layer(net_config.bcpnn, *engine, rng);
   const auto data = encoded_higgs(200, 10, 47);
@@ -241,7 +242,7 @@ TEST(Spiking, ConvergesToRateCodeWithManyTimesteps) {
 
 TEST(Spiking, ZeroTimestepsThrows) {
   auto net_config = small_network();
-  auto engine = sp::make_engine("naive");
+  auto engine = sp::EngineRegistry::instance().create("naive");
   su::Rng rng(23);
   sc::BcpnnLayer layer(net_config.bcpnn, *engine, rng);
   st::MatrixF x(1, net_config.bcpnn.input_units(), 0.0f);

@@ -1,25 +1,21 @@
 // Integration tests: the full Higgs pipeline (Section V protocol),
-// network heads, distributed training parity, engine equivalence at the
-// network level, and the in-situ visualization hook.
+// network heads, engine equivalence at the network level, and the
+// in-situ visualization hook. Distributed training lives in
+// test_distributed.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "core/distributed.hpp"
 #include "core/network.hpp"
 #include "core/pipeline.hpp"
 #include "data/higgs.hpp"
 #include "encode/one_hot.hpp"
-#include "metrics/roc.hpp"
 #include "viz/catalyst.hpp"
 
 namespace sc = streambrain::core;
 namespace sd = streambrain::data;
-namespace sm = streambrain::metrics;
-namespace sp = streambrain::parallel;
 namespace st = streambrain::tensor;
-namespace su = streambrain::util;
 namespace sv = streambrain::viz;
 
 namespace {
@@ -161,99 +157,4 @@ TEST(Network, EngineChoiceDoesNotChangeQualityClass) {
   EXPECT_NEAR(auc[0], auc[1], 0.10);
   EXPECT_GT(auc[0], 0.58);
   EXPECT_GT(auc[1], 0.58);
-}
-
-// ----------------------------------------------------------- distributed ----
-
-TEST(Distributed, SingleRankMatchesLocalTrainingShape) {
-  sc::BcpnnConfig config;
-  config.input_hypercolumns = 28;
-  config.input_bins = 10;
-  config.hcus = 1;
-  config.mcus = 20;
-  config.epochs = 3;
-  config.batch_size = 32;
-  config.seed = 11;
-
-  sd::SyntheticHiggsGenerator generator;
-  const auto dataset = generator.generate(600);
-  streambrain::encode::OneHotEncoder encoder(10);
-  const auto x = encoder.fit_transform(dataset.features);
-
-  auto engine = sp::make_engine("simd");
-  su::Rng rng(config.seed);
-  sc::BcpnnLayer layer(config, *engine, rng);
-  const auto report = sc::distributed_unsupervised_fit(layer, x, 1);
-  EXPECT_EQ(report.ranks, 1);
-  EXPECT_GT(report.sync_count, 0u);
-}
-
-TEST(Distributed, MultiRankProducesUsableRepresentation) {
-  sc::BcpnnConfig config;
-  config.input_hypercolumns = 28;
-  config.input_bins = 10;
-  config.hcus = 1;
-  config.mcus = 30;
-  config.epochs = 4;
-  config.batch_size = 32;
-  config.seed = 13;
-
-  sd::SyntheticHiggsGenerator generator;
-  const auto dataset = generator.generate(1200);
-  streambrain::encode::OneHotEncoder encoder(10);
-  const auto x = encoder.fit_transform(dataset.features);
-
-  auto engine = sp::make_engine("simd");
-  su::Rng rng(config.seed);
-  sc::BcpnnLayer layer(config, *engine, rng);
-  const auto report = sc::distributed_unsupervised_fit(layer, x, 4);
-  EXPECT_EQ(report.ranks, 4);
-  EXPECT_GT(report.bytes_per_rank, 0u);
-
-  // Train a supervised head on the distributed-trained representation and
-  // check it classifies above chance.
-  auto head_engine = sp::make_engine("simd");
-  sc::BcpnnClassifier head(config.hidden_units(), config.hcus, 2,
-                           *head_engine, 0.1f);
-  st::MatrixF hidden;
-  layer.forward(x, hidden);
-  const auto targets = sd::one_hot_labels(dataset.labels, 2);
-  for (int epoch = 0; epoch < 10; ++epoch) head.train_batch(hidden, targets);
-  const auto scores = head.predict_scores(hidden);
-  EXPECT_GT(sm::auc(scores, dataset.labels), 0.60);
-}
-
-TEST(Distributed, RankCountsAgreeOnResult) {
-  // Deterministic allreduce means 2-rank and 4-rank runs both produce
-  // valid (not necessarily identical) models; check both beat chance and
-  // communication volume grows with rank count.
-  sc::BcpnnConfig config;
-  config.input_hypercolumns = 28;
-  config.input_bins = 10;
-  config.mcus = 20;
-  config.epochs = 2;
-  config.batch_size = 64;
-  config.seed = 17;
-
-  sd::SyntheticHiggsGenerator generator;
-  const auto dataset = generator.generate(800);
-  streambrain::encode::OneHotEncoder encoder(10);
-  const auto x = encoder.fit_transform(dataset.features);
-
-  std::uint64_t bytes2 = 0;
-  std::uint64_t bytes4 = 0;
-  {
-    auto engine = sp::make_engine("simd");
-    su::Rng rng(config.seed);
-    sc::BcpnnLayer layer(config, *engine, rng);
-    bytes2 = sc::distributed_unsupervised_fit(layer, x, 2).total_bytes;
-  }
-  {
-    auto engine = sp::make_engine("simd");
-    su::Rng rng(config.seed);
-    sc::BcpnnLayer layer(config, *engine, rng);
-    bytes4 = sc::distributed_unsupervised_fit(layer, x, 4).total_bytes;
-  }
-  EXPECT_GT(bytes2, 0u);
-  EXPECT_GT(bytes4, bytes2);  // more ranks -> more total traffic
 }

@@ -1,4 +1,4 @@
-// Tests for src/parallel: thread pool, parallel_for, and cross-engine
+// Tests for src/parallel: thread pool, parallel_for_pool, and cross-engine
 // agreement of the BCPNN compute primitives (every engine must produce
 // the same numbers as the naive reference, to float tolerance).
 
@@ -8,7 +8,7 @@
 #include <cmath>
 #include <numeric>
 
-#include "parallel/engine.hpp"
+#include "parallel/engine_registry.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/rng.hpp"
@@ -57,26 +57,13 @@ TEST(ThreadPool, SizeReflectsWorkerCount) {
   EXPECT_EQ(pool.size(), 5u);
 }
 
-// -------------------------------------------------------- parallel_for ----
-
-TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  std::vector<std::atomic<int>> hits(1000);
-  sp::parallel_for(0, 1000, [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, ChunkedCoversRange) {
-  std::vector<std::atomic<int>> hits(777);
-  sp::parallel_for_chunked(0, 777, 50, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) ++hits[i];
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
+// --------------------------------------------------- parallel_for_pool ----
 
 TEST(ParallelFor, EmptyRangeIsNoop) {
+  sp::ThreadPool pool(2);
   bool called = false;
-  sp::parallel_for_chunked(5, 5, 10,
-                           [&](std::size_t, std::size_t) { called = true; });
+  sp::parallel_for_pool(pool, 5, 5, 10,
+                        [&](std::size_t, std::size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
@@ -128,8 +115,8 @@ class EngineAgreement : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(EngineAgreement, SupportMatchesNaive) {
   EngineFixture fx;
-  auto reference = sp::make_engine("naive");
-  auto engine = sp::make_engine(GetParam());
+  auto reference = sp::EngineRegistry::instance().create("naive");
+  auto engine = sp::EngineRegistry::instance().create(GetParam());
   st::MatrixF s_ref;
   st::MatrixF s;
   reference->support(fx.x, fx.w, fx.bias.data(), s_ref);
@@ -143,8 +130,8 @@ TEST_P(EngineAgreement, SupportMatchesNaive) {
 
 TEST_P(EngineAgreement, SoftmaxMatchesNaive) {
   EngineFixture fx;
-  auto reference = sp::make_engine("naive");
-  auto engine = sp::make_engine(GetParam());
+  auto reference = sp::EngineRegistry::instance().create("naive");
+  auto engine = sp::EngineRegistry::instance().create(GetParam());
   st::MatrixF s_ref = fx.a;
   st::MatrixF s = fx.a;
   reference->softmax_hcu(s_ref, fx.mcus, 1.5f);
@@ -156,8 +143,8 @@ TEST_P(EngineAgreement, SoftmaxMatchesNaive) {
 
 TEST_P(EngineAgreement, TraceUpdateMatchesNaive) {
   EngineFixture fx;
-  auto reference = sp::make_engine("naive");
-  auto engine = sp::make_engine(GetParam());
+  auto reference = sp::EngineRegistry::instance().create("naive");
+  auto engine = sp::EngineRegistry::instance().create(GetParam());
   std::vector<float> pi_ref(fx.n_in, 0.1f);
   std::vector<float> pj_ref(fx.n_out, 0.25f);
   st::MatrixF pij_ref(fx.n_in, fx.n_out, 0.025f);
@@ -188,8 +175,8 @@ TEST_P(EngineAgreement, WeightRecomputeMatchesNaive) {
   for (auto& v : pj) v = static_cast<float>(rng.uniform(0.0, 0.3));
   for (auto& v : pij) v = static_cast<float>(rng.uniform(0.0, 0.1));
 
-  auto reference = sp::make_engine("naive");
-  auto engine = sp::make_engine(GetParam());
+  auto reference = sp::EngineRegistry::instance().create("naive");
+  auto engine = sp::EngineRegistry::instance().create(GetParam());
   st::MatrixF w_ref;
   st::MatrixF w;
   std::vector<float> b_ref(fx.n_out);
@@ -211,12 +198,13 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, EngineAgreement,
                          ::testing::Values("openmp", "simd", "device_sim"));
 
 TEST(Engines, FactoryRejectsUnknownName) {
-  EXPECT_THROW(sp::make_engine("cuda"), std::invalid_argument);
+  EXPECT_THROW((void)sp::EngineRegistry::instance().create("cuda"),
+               std::invalid_argument);
 }
 
 TEST(Engines, AllRegisteredNamesConstruct) {
-  for (const auto& name : sp::engine_names()) {
-    const auto engine = sp::make_engine(name);
+  for (const auto& name : sp::EngineRegistry::instance().names()) {
+    const auto engine = sp::EngineRegistry::instance().create(name);
     EXPECT_EQ(engine->name(), name);
   }
 }
@@ -224,7 +212,7 @@ TEST(Engines, AllRegisteredNamesConstruct) {
 TEST(Engines, HostEnginesReportZeroTransfers) {
   EngineFixture fx;
   for (const std::string name : {"naive", "openmp", "simd"}) {
-    auto engine = sp::make_engine(name);
+    auto engine = sp::EngineRegistry::instance().create(name);
     st::MatrixF s;
     engine->support(fx.x, fx.w, fx.bias.data(), s);
     EXPECT_EQ(engine->transfer_bytes(), 0u) << name;
@@ -233,7 +221,7 @@ TEST(Engines, HostEnginesReportZeroTransfers) {
 
 TEST(Engines, DeviceSimAccountsTransfers) {
   EngineFixture fx;
-  auto engine = sp::make_engine("device_sim");
+  auto engine = sp::EngineRegistry::instance().create("device_sim");
   st::MatrixF s;
   engine->support(fx.x, fx.w, fx.bias.data(), s);
   const std::uint64_t expected =
@@ -249,8 +237,8 @@ TEST(Engines, DeviceSimAccountsTransfers) {
 }
 
 TEST(Engines, SoftmaxRejectsBadBlocks) {
-  for (const auto& name : sp::engine_names()) {
-    auto engine = sp::make_engine(name);
+  for (const auto& name : sp::EngineRegistry::instance().names()) {
+    auto engine = sp::EngineRegistry::instance().create(name);
     st::MatrixF s(2, 5);
     EXPECT_THROW(engine->softmax_hcu(s, 2, 1.0f), std::invalid_argument)
         << name;

@@ -1,7 +1,7 @@
 // Predictor serving session: thread-safe micro-batched inference must be
-// bit-identical to the single-threaded path, coalescing must run shared
-// batches, flush() must release partial batches, and the serving counters
-// must add up.
+// bit-identical to the single-threaded path, and the serving counters
+// must add up. Cross-caller batching and deadline flushes belong to
+// AsyncPredictor (test_serving).
 
 #include <gtest/gtest.h>
 
@@ -187,56 +187,6 @@ TEST(Predictor, SimdEngineStressStaysBitIdenticalToSerialReference) {
   EXPECT_EQ(stats.requests, kThreads * kRounds * 2);
 }
 
-TEST(Predictor, CoalescePolicyRunsSharedBatches) {
-  // Two concurrent half-batch requests: neither fills max_batch_rows on
-  // its own, together they do — the second arrival must trigger one
-  // shared flush that serves both callers.
-  const std::size_t n = serving().x_test.rows();
-  ASSERT_GE(n, 32u);
-  streambrain::Predictor predictor(
-      serving().model,
-      {/*max_batch_rows=*/32, streambrain::FlushPolicy::kCoalesce});
-
-  std::vector<int> first, second;
-  std::thread a([&] {
-    first = predictor.predict(rows_slice(serving().x_test, 0, 16));
-  });
-  std::thread b([&] {
-    second = predictor.predict(rows_slice(serving().x_test, 16, 32));
-  });
-  a.join();
-  b.join();
-
-  EXPECT_EQ(first, std::vector<int>(serving().reference_labels.begin(),
-                                    serving().reference_labels.begin() + 16));
-  EXPECT_EQ(second,
-            std::vector<int>(serving().reference_labels.begin() + 16,
-                             serving().reference_labels.begin() + 32));
-}
-
-TEST(Predictor, DeferredFlushSingleThreadedCallerReturns) {
-  // Regression: a kCoalesce request smaller than max_batch_rows used to
-  // block on done_cv_ forever unless another thread called flush(). The
-  // max_batch_delay deadline now closes the partial batch from inside
-  // the waiting call itself — single-threaded deferred predict() must
-  // return, promptly and correctly, with no external flusher.
-  streambrain::PredictorOptions options;
-  options.max_batch_rows = 64;
-  options.flush_policy = streambrain::FlushPolicy::kCoalesce;
-  options.max_batch_delay = std::chrono::milliseconds(5);
-  streambrain::Predictor predictor(serving().model, options);
-
-  const auto labels = predictor.predict(rows_slice(serving().x_test, 0, 8));
-  EXPECT_EQ(labels, std::vector<int>(serving().reference_labels.begin(),
-                                     serving().reference_labels.begin() + 8));
-  const auto scores =
-      predictor.predict_scores(rows_slice(serving().x_test, 0, 8));
-  EXPECT_EQ(scores,
-            std::vector<double>(serving().reference_scores.begin(),
-                                serving().reference_scores.begin() + 8));
-  EXPECT_EQ(predictor.stats().requests, 2u);
-}
-
 TEST(Predictor, StatsSeparateQueueWaitFromModelTime) {
   // Per call: total latency = queue wait + own model time. A serial
   // kImmediate caller has (almost) no queue wait, so model_seconds must
@@ -254,27 +204,6 @@ TEST(Predictor, StatsSeparateQueueWaitFromModelTime) {
   // and the lock-free single caller spent nearly everything in the model
   EXPECT_LT(stats.total_queue_wait_seconds,
             0.5 * stats.total_latency_seconds);
-}
-
-TEST(Predictor, FlushReleasesPartialBatches) {
-  streambrain::Predictor predictor(
-      serving().model,
-      {/*max_batch_rows=*/64, streambrain::FlushPolicy::kCoalesce});
-
-  std::vector<int> result;
-  std::atomic<bool> finished{false};
-  std::thread caller([&] {
-    result = predictor.predict(rows_slice(serving().x_test, 0, 8));
-    finished.store(true);
-  });
-  // 8 rows can never fill a 64-row batch; only flush() completes it.
-  while (!finished.load()) {
-    predictor.flush();
-    std::this_thread::yield();
-  }
-  caller.join();
-  EXPECT_EQ(result, std::vector<int>(serving().reference_labels.begin(),
-                                     serving().reference_labels.begin() + 8));
 }
 
 TEST(Predictor, ServesAnyEstimator) {

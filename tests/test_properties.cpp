@@ -10,7 +10,7 @@
 #include "core/traces.hpp"
 #include "encode/one_hot.hpp"
 #include "metrics/roc.hpp"
-#include "parallel/engine.hpp"
+#include "parallel/engine_registry.hpp"
 #include "tensor/kernels.hpp"
 #include "util/rng.hpp"
 
@@ -66,8 +66,8 @@ TEST_P(EngineGeometrySweep, FullStepMatchesNaive) {
     }
   }
 
-  auto reference = sp::make_engine("naive");
-  auto engine = sp::make_engine(engine_name);
+  auto reference = sp::EngineRegistry::instance().create("naive");
+  auto engine = sp::EngineRegistry::instance().create(engine_name);
 
   // Shared trace state, updated through both engines independently.
   sc::ProbabilityTraces traces_ref(n_in, g.bins, n_out, g.mcus);
@@ -115,7 +115,7 @@ class TraceAlphaSweep : public ::testing::TestWithParam<float> {};
 TEST_P(TraceAlphaSweep, HypercolumnMassStaysNormalized) {
   const float alpha = GetParam();
   sc::ProbabilityTraces traces(30, 10, 12, 4);
-  auto engine = sp::make_engine("simd");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   su::Rng rng(7);
   st::MatrixF x(8, 30, 0.0f);
   st::MatrixF a(8, 12, 0.0f);
@@ -157,7 +157,7 @@ TEST_P(PlasticitySweep, CardinalityInvariantUnderSwaps) {
   sc::ReceptiveFieldMasks masks(3, 28, cardinality, rng);
   sc::ProbabilityTraces traces(280, 10, 12, 4);
   // Randomize traces so MI scores differ.
-  auto engine = sp::make_engine("simd");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   st::MatrixF x(16, 280, 0.0f);
   st::MatrixF a(16, 12, 0.0f);
   for (std::size_t r = 0; r < 16; ++r) {
