@@ -115,8 +115,8 @@ void BM_GemmBlocked(benchmark::State& state) {
   auto& w = workload();
   tensor::MatrixF c(w.batch, w.n_out, 0.0f);
   for (auto _ : state) {
-    tensor::gemm_blocked(tensor::Transpose::kNo, tensor::Transpose::kNo, 1.0f,
-                         w.x, w.w, 0.0f, c);
+    tensor::gemm(tensor::Transpose::kNo, tensor::Transpose::kNo, 1.0f, w.x,
+                 w.w, 0.0f, c);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2 *
@@ -134,8 +134,8 @@ void BM_GemmMcuDimension(benchmark::State& state) {
   for (float& v : w) v = static_cast<float>(rng.uniform(-0.5, 0.5));
   tensor::MatrixF c(64, mcus, 0.0f);
   for (auto _ : state) {
-    tensor::gemm_blocked(tensor::Transpose::kNo, tensor::Transpose::kNo, 1.0f,
-                         x, w, 0.0f, c);
+    tensor::gemm(tensor::Transpose::kNo, tensor::Transpose::kNo, 1.0f, x, w,
+                 0.0f, c);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2 * 64 *
@@ -173,17 +173,14 @@ void BM_FullEpoch(benchmark::State& state, const std::string& engine_name) {
 }  // namespace
 
 BENCHMARK_CAPTURE(BM_FullEpoch, naive, "naive")->MinTime(0.1);
-BENCHMARK_CAPTURE(BM_FullEpoch, openmp, "openmp")->MinTime(0.1);
 BENCHMARK_CAPTURE(BM_FullEpoch, simd, "simd")->MinTime(0.1);
 BENCHMARK_CAPTURE(BM_FullEpoch, device_sim, "device_sim")->MinTime(0.1);
 BENCHMARK_CAPTURE(BM_Support, naive, "naive")->MinTime(0.1);
-BENCHMARK_CAPTURE(BM_Support, openmp, "openmp")->MinTime(0.1);
 BENCHMARK_CAPTURE(BM_Support, simd, "simd")->MinTime(0.1);
 BENCHMARK_CAPTURE(BM_Support, device_sim, "device_sim")->MinTime(0.1);
 BENCHMARK_CAPTURE(BM_SoftmaxHcu, naive, "naive")->MinTime(0.1);
 BENCHMARK_CAPTURE(BM_SoftmaxHcu, simd, "simd")->MinTime(0.1);
 BENCHMARK_CAPTURE(BM_TraceUpdate, naive, "naive")->MinTime(0.1);
-BENCHMARK_CAPTURE(BM_TraceUpdate, openmp, "openmp")->MinTime(0.1);
 BENCHMARK_CAPTURE(BM_TraceUpdate, simd, "simd")->MinTime(0.1);
 BENCHMARK_CAPTURE(BM_WeightRecompute, naive, "naive")->MinTime(0.1);
 BENCHMARK_CAPTURE(BM_WeightRecompute, simd, "simd")->MinTime(0.1);

@@ -57,7 +57,7 @@ struct BcpnnConfig {
   std::size_t batch_size = 64;
 
   // --- Execution ----------------------------------------------------------
-  std::string engine = "simd";    ///< naive | openmp | simd | device_sim
+  std::string engine = "simd";    ///< naive | simd | device_sim
   std::uint64_t seed = 1;
 
   /// Hidden-layer width.

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "core/pruning.hpp"
+#include "parallel/parallel_for.hpp"
 #include "tensor/csr.hpp"
 
 namespace streambrain::core {
@@ -100,27 +101,34 @@ void BcpnnLayer::apply_masks() {
   // weight block (all input units of hypercolumn i) x (all MCUs of HCU h).
   const std::size_t bins = config_.input_bins;
   const std::size_t mcus = config_.mcus;
-#pragma omp parallel for schedule(static) collapse(2)
-  for (std::size_t h = 0; h < config_.hcus; ++h) {
-    for (std::size_t i = 0; i < config_.input_hypercolumns; ++i) {
-      if (masks_.active(h, i)) continue;
-      for (std::size_t bi = 0; bi < bins; ++bi) {
-        float* w_row = weights_.row(i * bins + bi);
-        for (std::size_t bj = 0; bj < mcus; ++bj) {
-          w_row[h * mcus + bj] = 0.0f;
+  const std::size_t inputs = config_.input_hypercolumns;
+  constexpr std::size_t kMinPairsPerBlock = 32;  // (hcu, input) pairs
+  parallel::for_blocks(
+      config_.hcus * inputs, kMinPairsPerBlock,
+      [&](std::size_t p0, std::size_t p1) {
+        for (std::size_t p = p0; p < p1; ++p) {
+          const std::size_t h = p / inputs;
+          const std::size_t i = p % inputs;
+          if (masks_.active(h, i)) continue;
+          for (std::size_t bi = 0; bi < bins; ++bi) {
+            float* w_row = weights_.row(i * bins + bi);
+            for (std::size_t bj = 0; bj < mcus; ++bj) {
+              w_row[h * mcus + bj] = 0.0f;
+            }
+          }
         }
-      }
-    }
-  }
+      });
   // Element-level magnitude pruning rides on top of the block masks: the
   // keep-mask survives every weight recomputation until re-pruned.
   if (!prune_keep_.empty()) {
     float* w = weights_.data();
-    const std::size_t n = weights_.size();
-#pragma omp parallel for schedule(static)
-    for (std::size_t i = 0; i < n; ++i) {
-      if (prune_keep_[i] == 0) w[i] = 0.0f;
-    }
+    constexpr std::size_t kMinWeightsPerBlock = 16384;
+    parallel::for_blocks(weights_.size(), kMinWeightsPerBlock,
+                         [&](std::size_t lo, std::size_t hi) {
+                           for (std::size_t i = lo; i < hi; ++i) {
+                             if (prune_keep_[i] == 0) w[i] = 0.0f;
+                           }
+                         });
   }
 }
 

@@ -5,6 +5,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "parallel/parallel_for.hpp"
+
 namespace streambrain::core {
 
 ReceptiveFieldMasks::ReceptiveFieldMasks(std::size_t hcus,
@@ -78,13 +80,16 @@ std::vector<std::vector<float>> mutual_information_map(
   const std::size_t input_hcs = traces.inputs() / input_hc_size;
   std::vector<std::vector<float>> map(hcus,
                                       std::vector<float>(input_hcs, 0.0f));
-#pragma omp parallel for schedule(static) collapse(2)
-  for (std::size_t h = 0; h < hcus; ++h) {
-    for (std::size_t i = 0; i < input_hcs; ++i) {
-      map[h][i] = static_cast<float>(
-          mutual_information(traces, i, input_hc_size, h, mcus_per_hcu, eps));
-    }
-  }
+  constexpr std::size_t kMinPairsPerBlock = 4;  // (hcu, input) pairs
+  parallel::for_blocks(
+      hcus * input_hcs, kMinPairsPerBlock, [&](std::size_t p0, std::size_t p1) {
+        for (std::size_t p = p0; p < p1; ++p) {
+          const std::size_t h = p / input_hcs;
+          const std::size_t i = p % input_hcs;
+          map[h][i] = static_cast<float>(mutual_information(
+              traces, i, input_hc_size, h, mcus_per_hcu, eps));
+        }
+      });
   return map;
 }
 

@@ -10,10 +10,12 @@
 //   traces    : EMA update of p_i, p_j, p_ij from a batch (X, A)
 //   weights   : w_ij = log(p_ij / (p_i p_j)), b_j = k_beta * log(p_j)
 //
-// Engines share exact semantics; they differ in how loops are scheduled
-// and vectorized. `DeviceSimEngine` emulates the paper's fully-offloaded
-// GPU loop on the host, tracking host<->device transfer volume so the
-// Amdahl-serialization argument of Section III-A can be benchmarked.
+// Engines share exact semantics; they differ in vectorization and in
+// whether loops fan out (through parallel::for_blocks, the library's one
+// thread runtime, where the paper uses OpenMP). `DeviceSimEngine` emulates
+// the paper's fully-offloaded GPU loop on the host, tracking host<->device
+// transfer volume so the Amdahl-serialization argument of Section III-A can
+// be benchmarked.
 
 #include <cstddef>
 #include <cstdint>

@@ -1,6 +1,6 @@
 #pragma once
 // Open, thread-safe registry of compute engines — the one place engines
-// are created by name. The four built-in engines (naive / openmp / simd /
+// are created by name. The three built-in engines (naive / simd /
 // device_sim) self-register with capability metadata; user code can plug
 // in custom engines and resolve them anywhere an engine name is accepted
 // (Model::compile, NetworkConfig, the bench and example drivers):

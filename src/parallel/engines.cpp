@@ -1,7 +1,7 @@
-// Built-in compute engines. All four share exact semantics (the unit tests
-// assert cross-engine agreement to float tolerance); they differ in loop
-// scheduling, vectorization, and — for DeviceSim — explicit modeling of the
-// host/device transfer pattern of the paper's fully-offloaded CUDA backend.
+// Built-in compute engines. All three share exact semantics (the unit tests
+// assert cross-engine agreement to float tolerance); they differ in
+// vectorization and — for DeviceSim — explicit modeling of the host/device
+// transfer pattern of the paper's fully-offloaded CUDA backend.
 
 #include <algorithm>
 #include <cmath>
@@ -9,6 +9,7 @@
 
 #include "parallel/engine.hpp"
 #include "parallel/engine_registry.hpp"
+#include "parallel/parallel_for.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/kernel_set.hpp"
 #include "tensor/kernels.hpp"
@@ -24,7 +25,7 @@ float floored_log(float value, float floor) noexcept {
   return std::log(std::max(value, floor));
 }
 
-/// Scalar reference engine: no OpenMP, no fast-math approximations.
+/// Scalar reference engine: serial loops, no fast-math approximations.
 /// The correctness anchor every other engine is tested against.
 class NaiveEngine final : public Engine {
  public:
@@ -113,114 +114,6 @@ class NaiveEngine final : public Engine {
   }
 };
 
-/// OpenMP engine: same scalar math as naive, parallel loop scheduling.
-class OpenMpEngine final : public Engine {
- public:
-  [[nodiscard]] std::string name() const override { return "openmp"; }
-
-  void support(const MatrixF& x, const MatrixF& w, const float* bias,
-               MatrixF& s) override {
-    s.resize(x.rows(), w.cols());
-    const std::size_t n_in = x.cols();
-    const std::size_t n_out = w.cols();
-#pragma omp parallel for schedule(static)
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-      float* s_row = s.row(r);
-      for (std::size_t c = 0; c < n_out; ++c) s_row[c] = bias[c];
-      const float* x_row = x.row(r);
-      for (std::size_t i = 0; i < n_in; ++i) {
-        const float xi = x_row[i];
-        if (xi == 0.0f) continue;  // one-hot inputs are sparse
-        const float* w_row = w.row(i);
-        for (std::size_t c = 0; c < n_out; ++c) s_row[c] += xi * w_row[c];
-      }
-    }
-  }
-
-  void softmax_hcu(MatrixF& s, std::size_t mcus_per_hcu,
-                   float inverse_temperature) override {
-    if (mcus_per_hcu == 0 || s.cols() % mcus_per_hcu != 0) {
-      throw std::invalid_argument("softmax_hcu: bad block size");
-    }
-#pragma omp parallel for schedule(static)
-    for (std::size_t r = 0; r < s.rows(); ++r) {
-      float* row = s.row(r);
-      for (std::size_t b = 0; b < s.cols(); b += mcus_per_hcu) {
-        float max_v = row[b];
-        for (std::size_t i = 1; i < mcus_per_hcu; ++i) {
-          max_v = std::max(max_v, row[b + i]);
-        }
-        double total = 0.0;
-        for (std::size_t i = 0; i < mcus_per_hcu; ++i) {
-          row[b + i] = std::exp(inverse_temperature * (row[b + i] - max_v));
-          total += row[b + i];
-        }
-        for (std::size_t i = 0; i < mcus_per_hcu; ++i) {
-          row[b + i] = static_cast<float>(row[b + i] / total);
-        }
-      }
-    }
-  }
-
-  void update_traces(const MatrixF& x, const MatrixF& a, float alpha,
-                     float* pi, float* pj, MatrixF& pij) override {
-    const std::size_t batch = x.rows();
-    const std::size_t n_in = x.cols();
-    const std::size_t n_out = a.cols();
-    const float inv_b = 1.0f / static_cast<float>(batch);
-#pragma omp parallel for schedule(static)
-    for (std::size_t i = 0; i < n_in; ++i) {
-      float mean_x = 0.0f;
-      for (std::size_t b = 0; b < batch; ++b) mean_x += x(b, i);
-      pi[i] += alpha * (mean_x * inv_b - pi[i]);
-    }
-#pragma omp parallel for schedule(static)
-    for (std::size_t j = 0; j < n_out; ++j) {
-      float mean_a = 0.0f;
-      for (std::size_t b = 0; b < batch; ++b) mean_a += a(b, j);
-      pj[j] += alpha * (mean_a * inv_b - pj[j]);
-    }
-    // p_ij: decay everything, then accumulate sparse rank-1 updates.
-#pragma omp parallel for schedule(static)
-    for (std::size_t i = 0; i < n_in; ++i) {
-      float* pij_row = pij.row(i);
-      const float decay = 1.0f - alpha;
-      for (std::size_t j = 0; j < n_out; ++j) pij_row[j] *= decay;
-      const float scale = alpha * inv_b;
-      for (std::size_t b = 0; b < batch; ++b) {
-        const float xi = x(b, i);
-        if (xi == 0.0f) continue;
-        const float* a_row = a.row(b);
-        const float f = scale * xi;
-        for (std::size_t j = 0; j < n_out; ++j) pij_row[j] += f * a_row[j];
-      }
-    }
-  }
-
-  void recompute_weights(const float* pi, const float* pj, const MatrixF& pij,
-                         float eps, float k_beta, MatrixF& w,
-                         float* bias) override {
-    const std::size_t n_in = pij.rows();
-    const std::size_t n_out = pij.cols();
-    w.resize(n_in, n_out);
-    const float eps2 = eps * eps;
-    std::vector<float> log_pj(n_out);
-    for (std::size_t j = 0; j < n_out; ++j) {
-      log_pj[j] = floored_log(pj[j], eps);
-      bias[j] = k_beta * log_pj[j];
-    }
-#pragma omp parallel for schedule(static)
-    for (std::size_t i = 0; i < n_in; ++i) {
-      const float log_pi = floored_log(pi[i], eps);
-      const float* pij_row = pij.row(i);
-      float* w_row = w.row(i);
-      for (std::size_t j = 0; j < n_out; ++j) {
-        w_row[j] = floored_log(pij_row[j], eps2) - log_pi - log_pj[j];
-      }
-    }
-  }
-};
-
 /// SIMD engine: every primitive routes through the runtime-dispatched
 /// tensor::KernelSet (cache-blocked GEMM tiles over the ThreadPool,
 /// vectorized exp/log approximations). This is the analogue of
@@ -278,17 +171,18 @@ class SimdEngine final : public Engine {
     std::vector<float> log_pj(n_out);
     tensor::vlog_floored(pj, log_pj.data(), eps, n_out);
     for (std::size_t j = 0; j < n_out; ++j) bias[j] = k_beta * log_pj[j];
-#pragma omp parallel for schedule(static)
-    for (std::size_t i = 0; i < n_in; ++i) {
-      const float log_pi = tensor::fast_log(std::max(pi[i], eps));
-      const float* pij_row = pij.row(i);
-      float* w_row = w.row(i);
-      tensor::vlog_floored(pij_row, w_row, eps2, n_out);
-#pragma omp simd
-      for (std::size_t j = 0; j < n_out; ++j) {
-        w_row[j] -= log_pi + log_pj[j];
-      }
-    }
+    constexpr std::size_t kMinRowsPerBlock = 32;
+    parallel::for_blocks(
+        n_in, kMinRowsPerBlock, [&](std::size_t i0, std::size_t i1) {
+          for (std::size_t i = i0; i < i1; ++i) {
+            const float log_pi = tensor::fast_log(std::max(pi[i], eps));
+            float* w_row = w.row(i);
+            tensor::vlog_floored(pij.row(i), w_row, eps2, n_out);
+            for (std::size_t j = 0; j < n_out; ++j) {
+              w_row[j] -= log_pi + log_pj[j];
+            }
+          }
+        });
   }
 };
 
@@ -351,11 +245,6 @@ void register_builtin_engines(EngineRegistry& registry) {
        /*simd_width=*/1, /*offload=*/false, /*counts_transfers=*/false,
        /*dispatch=*/""},
       [] { return std::make_unique<NaiveEngine>(); });
-  registry.register_engine(
-      {"openmp", "OpenMP-parallel scalar loops with sparse-input skipping",
-       /*simd_width=*/1, /*offload=*/false, /*counts_transfers=*/false,
-       /*dispatch=*/""},
-      [] { return std::make_unique<OpenMpEngine>(); });
   registry.register_engine(
       {"simd",
        std::string("runtime-dispatched KernelSet engine (") + kernels.name +

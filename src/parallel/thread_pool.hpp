@@ -1,7 +1,8 @@
 #pragma once
-// Fixed-size worker pool with a shared task queue. Used by the comm
-// substrate (ranks) and by parallel_for_pool when OpenMP is not wanted
-// (e.g. nested inside an OpenMP region).
+// Worker pool with a shared task queue — the library's only thread
+// runtime. global_pool() carries every compute loop (through
+// parallel::for_blocks), the serving shards and the comm substrate's
+// ranks.
 
 #include <cstddef>
 #include <functional>
@@ -65,7 +66,7 @@ class ThreadPool {
   void wait_idle() EXCLUDES(mutex_);
 
   /// True when the calling thread is a ThreadPool worker (any pool).
-  /// Fan-out helpers (e.g. the dispatched GEMM) use this to run inline
+  /// parallel::for_blocks uses this to run inline
   /// instead of submitting nested work and blocking a worker on it,
   /// which could deadlock a single-worker pool.
   [[nodiscard]] static bool in_worker() noexcept;

@@ -1,13 +1,11 @@
 #include "tensor/csr.hpp"
 
 #include <algorithm>
-#include <future>
 #include <limits>
 #include <stdexcept>
 #include <string>
 
-#include "parallel/thread_pool.hpp"
-#include "tensor/gemm.hpp"
+#include "parallel/parallel_for.hpp"
 #include "tensor/kernel_set.hpp"
 #include "tensor/kernels.hpp"
 
@@ -176,29 +174,12 @@ void spmm_bt(const CsrMatrix& a, const MatrixF& b, MatrixF& c) {
   if (batch == 0 || m == 0) return;
 
   const KernelSet& kernels = active_kernels();
-  const auto run_panel = [&kernels, &a, &b, &c](std::size_t r0,
-                                                std::size_t r1) {
-    kernels.spmm(a.values().data(), a.col_idx().data(), a.row_ptr().data(),
-                 a.rows(), b.row(r0), b.cols(), r1 - r0, c.row(r0), c.cols());
-  };
-
-  parallel::ThreadPool& pool = parallel::global_pool();
-  const std::size_t max_tasks = std::max<std::size_t>(
-      1, std::min({pool.size(), detail::max_compute_tasks(),
-                   batch / kMinRowsPerTask}));
-  if (max_tasks <= 1 || parallel::ThreadPool::in_worker()) {
-    run_panel(0, batch);
-    return;
-  }
-  const std::size_t rows_per_task = (batch + max_tasks - 1) / max_tasks;
-  std::vector<std::future<void>> tasks;
-  tasks.reserve(max_tasks - 1);
-  for (std::size_t r0 = rows_per_task; r0 < batch; r0 += rows_per_task) {
-    const std::size_t r1 = std::min(r0 + rows_per_task, batch);
-    tasks.push_back(pool.submit([&run_panel, r0, r1] { run_panel(r0, r1); }));
-  }
-  run_panel(0, std::min(rows_per_task, batch));
-  for (auto& task : tasks) task.get();
+  parallel::for_blocks(batch, kMinRowsPerTask,
+                       [&](std::size_t r0, std::size_t r1) {
+                         kernels.spmm(a.values().data(), a.col_idx().data(),
+                                      a.row_ptr().data(), a.rows(), b.row(r0),
+                                      b.cols(), r1 - r0, c.row(r0), c.cols());
+                       });
 }
 
 void sparse_support(const CsrMatrix& wt, const MatrixF& x, const float* bias,

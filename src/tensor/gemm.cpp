@@ -1,12 +1,10 @@
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <future>
 #include <stdexcept>
 #include <vector>
 
-#include "parallel/thread_pool.hpp"
+#include "parallel/parallel_for.hpp"
 #include "tensor/kernel_set.hpp"
 
 namespace streambrain::tensor {
@@ -69,7 +67,7 @@ void apply_beta(float beta, MatrixF& c, const KernelSet& kernels) {
 
 // K-panel blocking keeps the streamed B panel resident in L2.
 constexpr std::size_t kBlockK = 256;
-// Minimum rows per fan-out task: below this the submit overhead beats
+// Minimum rows per fan-out block: below this the submit overhead beats
 // the parallelism.
 constexpr std::size_t kMinRowsPerTask = 32;
 
@@ -88,27 +86,6 @@ void run_row_range(const KernelSet& kernels, float alpha, const float* a,
 
 }  // namespace
 
-namespace detail {
-
-// Resolved once. The old OpenMP path honored OMP_NUM_THREADS; the pool
-// fan-out keeps that contract (STREAMBRAIN_THREADS wins, then
-// OMP_NUM_THREADS, then the pool size), so embedders and CI can still
-// pin or disable compute threading.
-std::size_t max_compute_tasks() {
-  static const std::size_t limit = [] {
-    for (const char* name : {"STREAMBRAIN_THREADS", "OMP_NUM_THREADS"}) {
-      if (const char* env = std::getenv(name)) {
-        const long value = std::atol(env);
-        if (value > 0) return static_cast<std::size_t>(value);
-      }
-    }
-    return parallel::global_pool().size();
-  }();
-  return limit;
-}
-
-}  // namespace detail
-
 void gemm_naive(Transpose trans_a, Transpose trans_b, float alpha,
                 const MatrixF& a, const MatrixF& b, float beta, MatrixF& c) {
   const auto [m, n, k] = check_dims(trans_a, trans_b, a, b, c);
@@ -123,8 +100,8 @@ void gemm_naive(Transpose trans_a, Transpose trans_b, float alpha,
   }
 }
 
-void gemm_blocked(Transpose trans_a, Transpose trans_b, float alpha,
-                  const MatrixF& a, const MatrixF& b, float beta, MatrixF& c) {
+void gemm(Transpose trans_a, Transpose trans_b, float alpha, const MatrixF& a,
+          const MatrixF& b, float beta, MatrixF& c) {
   const auto [m, n, k] = check_dims(trans_a, trans_b, a, b, c);
 
   std::vector<float> a_storage;
@@ -134,40 +111,13 @@ void gemm_blocked(Transpose trans_a, Transpose trans_b, float alpha,
 
   const KernelSet& kernels = active_kernels();
   apply_beta(beta, c, kernels);
-  if (m == 0 || n == 0 || k == 0) return;
+  if (n == 0 || k == 0) return;
 
-  // Fan the row blocks out over the shared ThreadPool — unless we are
-  // already on a pool worker (nested GEMM would deadlock a single-worker
-  // pool) or the matrix is too small to amortize the submits.
-  parallel::ThreadPool& pool = parallel::global_pool();
-  const std::size_t max_tasks = std::max<std::size_t>(
-      1,
-      std::min({pool.size(), detail::max_compute_tasks(),
-                m / kMinRowsPerTask}));
-  if (max_tasks <= 1 || parallel::ThreadPool::in_worker()) {
-    run_row_range(kernels, alpha, a_ptr, b_ptr, c, 0, m, n, k);
-    return;
-  }
-
-  const std::size_t rows_per_task = (m + max_tasks - 1) / max_tasks;
-  std::vector<std::future<void>> tasks;
-  tasks.reserve(max_tasks - 1);
-  for (std::size_t r0 = rows_per_task; r0 < m; r0 += rows_per_task) {
-    const std::size_t r1 = std::min(r0 + rows_per_task, m);
-    tasks.push_back(pool.submit([&kernels, alpha, a_ptr, b_ptr, &c, r0, r1, n,
-                                 k] {
-      run_row_range(kernels, alpha, a_ptr, b_ptr, c, r0, r1, n, k);
-    }));
-  }
-  // First block on the calling thread, overlapping the pool workers.
-  run_row_range(kernels, alpha, a_ptr, b_ptr, c, 0,
-                std::min(rows_per_task, m), n, k);
-  for (auto& task : tasks) task.get();
-}
-
-void gemm(Transpose trans_a, Transpose trans_b, float alpha, const MatrixF& a,
-          const MatrixF& b, float beta, MatrixF& c) {
-  gemm_blocked(trans_a, trans_b, alpha, a, b, beta, c);
+  parallel::for_blocks(m, kMinRowsPerTask,
+                       [&](std::size_t r0, std::size_t r1) {
+                         run_row_range(kernels, alpha, a_ptr, b_ptr, c, r0,
+                                       r1, n, k);
+                       });
 }
 
 MatrixF matmul(const MatrixF& a, const MatrixF& b) {

@@ -1,18 +1,15 @@
 #pragma once
 // General matrix multiply kernels: C = alpha * op(A) * op(B) + beta * C.
 //
-// Three implementations with identical semantics:
+// Two implementations with identical semantics:
 //   gemm_naive     - triple loop, the correctness reference
-//   gemm_blocked   - cache-blocked K panels through the runtime-dispatched
+//   gemm           - cache-blocked K panels through the runtime-dispatched
 //                    SIMD tile kernel (tensor/kernel_set.hpp), row blocks
-//                    fanned out over parallel::global_pool()
-//   gemm           - dispatches to the best available implementation
+//                    fanned out by parallel::for_blocks
 //
 // StreamBrain expresses both BCPNN activation (batch x weights) and the
 // batched trace outer-product update as GEMM, so these kernels dominate
 // training time exactly as the paper's Section II-B describes.
-
-#include <cstddef>
 
 #include "tensor/matrix.hpp"
 
@@ -24,25 +21,11 @@ enum class Transpose { kNo, kYes };
 void gemm_naive(Transpose trans_a, Transpose trans_b, float alpha,
                 const MatrixF& a, const MatrixF& b, float beta, MatrixF& c);
 
-/// Cache-blocked + OpenMP implementation.
-void gemm_blocked(Transpose trans_a, Transpose trans_b, float alpha,
-                  const MatrixF& a, const MatrixF& b, float beta, MatrixF& c);
-
-/// Production entry point (blocked).
+/// Production entry point.
 void gemm(Transpose trans_a, Transpose trans_b, float alpha, const MatrixF& a,
           const MatrixF& b, float beta, MatrixF& c);
 
 /// Convenience: C = A * B with fresh output.
 MatrixF matmul(const MatrixF& a, const MatrixF& b);
-
-namespace detail {
-
-/// Upper bound on concurrent compute tasks a blocked kernel driver may
-/// fan out over the ThreadPool (STREAMBRAIN_THREADS wins, then
-/// OMP_NUM_THREADS, then the pool size). Shared by the dense GEMM driver
-/// and the sparse spmm driver so both honor the same pinning contract.
-std::size_t max_compute_tasks();
-
-}  // namespace detail
 
 }  // namespace streambrain::tensor

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "parallel/parallel_for.hpp"
 #include "tensor/kernel_set.hpp"
 
 namespace streambrain::tensor {
@@ -78,13 +79,17 @@ void softmax_blocks_temperature(MatrixF& m, std::size_t block,
   }
   const KernelSet& kernels = active_kernels();
   const std::size_t blocks_per_row = m.cols() / block;
-#pragma omp parallel for schedule(static)
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    float* row = m.row(r);
-    for (std::size_t b = 0; b < blocks_per_row; ++b) {
-      kernels.softmax_block(row + b * block, block, inverse_temperature);
-    }
-  }
+  constexpr std::size_t kMinRowsPerBlock = 64;
+  parallel::for_blocks(
+      m.rows(), kMinRowsPerBlock, [&](std::size_t r0, std::size_t r1) {
+        for (std::size_t r = r0; r < r1; ++r) {
+          float* row = m.row(r);
+          for (std::size_t b = 0; b < blocks_per_row; ++b) {
+            kernels.softmax_block(row + b * block, block,
+                                  inverse_temperature);
+          }
+        }
+      });
 }
 
 void wta_blocks(MatrixF& m, std::size_t block) noexcept {

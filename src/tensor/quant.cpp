@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 #include <limits>
 #include <stdexcept>
 #include <string>
 
-#include "parallel/thread_pool.hpp"
-#include "tensor/gemm.hpp"
+#include "parallel/parallel_for.hpp"
 #include "tensor/kernel_set.hpp"
 #include "tensor/kernels.hpp"
 
@@ -253,8 +251,7 @@ namespace {
 
 // Shared fan-out scaffolding of the two support drivers: quantize every
 // activation row (tier-independent scalar code), then run `panel` over
-// ThreadPool row panels exactly like spmm_bt (and inline when already
-// on a pool worker, for the same deadlock reason).
+// for_blocks row panels exactly like spmm_bt.
 template <typename Panel>
 void quantized_fanout(const MatrixF& x, std::vector<std::uint8_t>& qb,
                       std::vector<float>& sb, const Panel& panel) {
@@ -265,23 +262,7 @@ void quantized_fanout(const MatrixF& x, std::vector<std::uint8_t>& qb,
   for (std::size_t r = 0; r < batch; ++r) {
     sb[r] = quantize_activation_row(x.row(r), k, qb.data() + r * k);
   }
-  parallel::ThreadPool& pool = parallel::global_pool();
-  const std::size_t max_tasks = std::max<std::size_t>(
-      1, std::min({pool.size(), detail::max_compute_tasks(),
-                   batch / kMinRowsPerTask}));
-  if (max_tasks <= 1 || parallel::ThreadPool::in_worker()) {
-    panel(0, batch);
-    return;
-  }
-  const std::size_t rows_per_task = (batch + max_tasks - 1) / max_tasks;
-  std::vector<std::future<void>> tasks;
-  tasks.reserve(max_tasks - 1);
-  for (std::size_t r0 = rows_per_task; r0 < batch; r0 += rows_per_task) {
-    const std::size_t r1 = std::min(r0 + rows_per_task, batch);
-    tasks.push_back(pool.submit([&panel, r0, r1] { panel(r0, r1); }));
-  }
-  panel(0, std::min(rows_per_task, batch));
-  for (auto& task : tasks) task.get();
+  parallel::for_blocks(batch, kMinRowsPerTask, panel);
 }
 
 }  // namespace

@@ -84,6 +84,17 @@ void AsyncPredictor::run_batch(BatchJob& job) {
 """
 
 
+LOOP_OK = """
+#include "parallel/parallel_for.hpp"
+void scale(float* v, std::size_t n) {
+  parallel::for_blocks(n, 256, [&](std::size_t lo, std::size_t hi) {
+#pragma omp simd
+    for (std::size_t i = lo; i < hi; ++i) v[i] *= 2.0f;
+  });
+}
+"""
+
+
 class RealTreeTest(unittest.TestCase):
     """The shipped repo must be lint-clean."""
 
@@ -181,6 +192,50 @@ class CloseReasonTest(unittest.TestCase):
                          "deadline_closes")
         self.assertEqual(sb_lint._reason_to_counter("kQueueDrain"),
                          "queue_drain_closes")
+
+
+class OneRuntimeTest(unittest.TestCase):
+    def test_clean_fixture_passes(self):
+        self.assertEqual(sb_lint.check_one_runtime({"loop.cpp": LOOP_OK}), [])
+
+    def test_simd_clauses_pass(self):
+        fixture = "#pragma omp simd reduction(+ : acc)\n"
+        self.assertEqual(sb_lint.check_one_runtime({"k.inl": fixture}), [])
+
+    def test_parallel_for_pragma_is_flagged(self):
+        mutated = LOOP_OK.replace("#pragma omp simd",
+                                  "  #pragma omp parallel for")
+        errors = sb_lint.check_one_runtime({"loop.cpp": mutated})
+        self.assertEqual(len(errors), 1, errors)
+        self.assertIn("loop.cpp:5:", errors[0])
+        self.assertIn("#pragma omp", errors[0])
+
+    def test_parallel_for_simd_pragma_is_flagged(self):
+        mutated = LOOP_OK.replace("#pragma omp simd",
+                                  "#pragma omp parallel for simd")
+        errors = sb_lint.check_one_runtime({"loop.cpp": mutated})
+        self.assertEqual(len(errors), 1, errors)
+
+    def test_omp_header_is_flagged(self):
+        mutated = "#include <omp.h>\n" + LOOP_OK
+        errors = sb_lint.check_one_runtime({"loop.cpp": mutated})
+        self.assertTrue(any("<omp.h>" in e for e in errors), errors)
+
+    def test_omp_runtime_call_is_flagged(self):
+        mutated = LOOP_OK.replace(
+            "v[i] *= 2.0f;", "v[i] *= omp_get_num_threads();")
+        errors = sb_lint.check_one_runtime({"loop.cpp": mutated})
+        self.assertTrue(any("omp_*" in e for e in errors), errors)
+
+    def test_thread_count_variable_name_is_not_a_call(self):
+        fixture = 'const char* name = "OMP_NUM_THREADS";\n'
+        self.assertEqual(sb_lint.check_one_runtime({"env.cpp": fixture}), [])
+
+    def test_tree_walk_covers_every_runtime_dir(self):
+        files = sb_lint.runtime_sources(REPO_ROOT)
+        tops = {path.split("/", 1)[0] for path in files}
+        self.assertEqual(tops, set(sb_lint.RUNTIME_DIRS))
+        self.assertIn("src/parallel/parallel_for.cpp", files)
 
 
 if __name__ == "__main__":

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "data/higgs.hpp"
 #include "encode/one_hot.hpp"
@@ -37,6 +39,31 @@ TEST(QuantileBinner, FitRequiresData) {
   se::QuantileBinner binner(10);
   st::MatrixF empty;
   EXPECT_THROW(binner.fit(empty), std::invalid_argument);
+}
+
+TEST(QuantileBinner, FitRejectsNonFiniteValuesNamingFeatureAndRow) {
+  const struct {
+    std::size_t feature;
+    std::size_t row;
+    float value;
+  } cases[] = {{1, 7, std::nanf("")},
+               {2, 0, std::numeric_limits<float>::infinity()},
+               {0, 19, -std::numeric_limits<float>::infinity()}};
+  for (const auto& c : cases) {
+    auto data = random_features(20, 3, 4);
+    data(c.row, c.feature) = c.value;
+    se::QuantileBinner binner(4);
+    try {
+      binner.fit(data);
+      ADD_FAILURE() << "fit accepted " << c.value;
+    } catch (const std::invalid_argument& error) {
+      const std::string expected = "feature " + std::to_string(c.feature) +
+                                   ", row " + std::to_string(c.row);
+      EXPECT_NE(std::string(error.what()).find(expected), std::string::npos)
+          << error.what();
+    }
+    EXPECT_FALSE(binner.fitted());
+  }
 }
 
 TEST(QuantileBinner, TransformBeforeFitThrows) {

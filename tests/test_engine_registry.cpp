@@ -1,4 +1,4 @@
-// EngineRegistry: the four built-ins must be pre-registered with sane
+// EngineRegistry: the three built-ins must be pre-registered with sane
 // capability metadata, unknown names must fail loudly, and a custom
 // engine registered at runtime must be resolvable everywhere an engine
 // name is accepted — including training a Model end-to-end through it.
@@ -7,9 +7,11 @@
 
 #include <atomic>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 
 #include "core/model.hpp"
+#include "core/serialization.hpp"
 #include "data/higgs.hpp"
 #include "encode/one_hot.hpp"
 #include "parallel/engine_registry.hpp"
@@ -75,12 +77,11 @@ struct ScopedEngine {
 TEST(EngineRegistry, BuiltinsAreRegisteredInOrder) {
   auto& registry = sp::EngineRegistry::instance();
   const auto names = registry.names();
-  ASSERT_GE(names.size(), 4u);
+  ASSERT_GE(names.size(), 3u);
   EXPECT_EQ(names[0], "naive");
-  EXPECT_EQ(names[1], "openmp");
-  EXPECT_EQ(names[2], "simd");
-  EXPECT_EQ(names[3], "device_sim");
-  for (const char* name : {"naive", "openmp", "simd", "device_sim"}) {
+  EXPECT_EQ(names[1], "simd");
+  EXPECT_EQ(names[2], "device_sim");
+  for (const char* name : {"naive", "simd", "device_sim"}) {
     EXPECT_TRUE(registry.contains(name)) << name;
     const auto engine = registry.create(name);
     ASSERT_NE(engine, nullptr);
@@ -187,4 +188,36 @@ TEST(EngineRegistry, CustomEngineTrainsAModelEndToEnd) {
   model.fit(x_train, train.labels);
   EXPECT_GT(model.evaluate(x_test, test.labels), 0.52);
   EXPECT_GT(g_custom_support_calls.load(), 0);
+}
+
+TEST(EngineRegistry, CheckpointNamingTheRemovedOpenmpEngineFailsToLoad) {
+  // A checkpoint records its engine by name. Write one under "openmp" (the
+  // removed built-in) through a stand-in, then load it without that name.
+  std::stringstream checkpoint;
+  {
+    const ScopedEngine openmp(
+        {"openmp", "stand-in for the removed built-in", 1, false, false, ""},
+        [] { return std::make_unique<CountingEngine>(); });
+    streambrain::data::SyntheticHiggsGenerator generator;
+    const auto train = generator.generate(200);
+    streambrain::encode::OneHotEncoder encoder(10);
+    sc::Model model;
+    model.input(28, 10)
+        .hidden(1, 10, 0.4)
+        .classifier(2)
+        .set_option("epochs", 1)
+        .compile("openmp", 7);
+    model.fit(encoder.fit_transform(train.features), train.labels);
+    sc::save_model(checkpoint, model);
+  }
+  ASSERT_FALSE(sp::EngineRegistry::instance().contains("openmp"));
+  sc::Model restored;
+  try {
+    sc::load_model(checkpoint, restored);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("unknown engine 'openmp'"),
+              std::string::npos)
+        << error.what();
+  }
 }

@@ -19,7 +19,7 @@ sh::ParameterSpace demo_space() {
   space.add_continuous("alpha", 0.001, 1.0, /*log_scale=*/true);
   space.add_integer("mcus", 10, 1000, /*log_scale=*/true);
   space.add_continuous("rf", 0.05, 0.95);
-  space.add_categorical("engine", {"naive", "openmp", "simd"});
+  space.add_categorical("engine", {"naive", "simd", "device_sim"});
   return space;
 }
 
@@ -51,7 +51,8 @@ TEST(ParameterSpace, SamplesStayInBounds) {
     EXPECT_GE(rf, 0.05);
     EXPECT_LE(rf, 0.95);
     const std::string engine = sample.get_string("engine", "");
-    EXPECT_TRUE(engine == "naive" || engine == "openmp" || engine == "simd");
+    EXPECT_TRUE(engine == "naive" || engine == "simd" ||
+                engine == "device_sim");
   }
 }
 

@@ -1,12 +1,15 @@
-// Tests for src/parallel: thread pool, parallel_for_pool, and cross-engine
+// Tests for src/parallel: thread pool, for_blocks, and cross-engine
 // agreement of the BCPNN compute primitives (every engine must produce
 // the same numbers as the naive reference, to float tolerance).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <utility>
 
 #include "parallel/engine_registry.hpp"
 #include "parallel/parallel_for.hpp"
@@ -57,24 +60,50 @@ TEST(ThreadPool, SizeReflectsWorkerCount) {
   EXPECT_EQ(pool.size(), 5u);
 }
 
-// --------------------------------------------------- parallel_for_pool ----
+// ---------------------------------------------------------- for_blocks ----
 
-TEST(ParallelFor, EmptyRangeIsNoop) {
-  sp::ThreadPool pool(2);
-  bool called = false;
-  sp::parallel_for_pool(pool, 5, 5, 10,
-                        [&](std::size_t, std::size_t) { called = true; });
-  EXPECT_FALSE(called);
+TEST(ForBlocks, CoversEveryIndexExactlyOnce) {
+  for (const std::size_t n : {0u, 1u, 31u, 321u}) {
+    std::vector<std::atomic<int>> hits(n);
+    sp::for_blocks(n, 4, [&](std::size_t lo, std::size_t hi) {
+      EXPECT_LT(lo, hi);
+      for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " i=" << i;
+    }
+  }
 }
 
-TEST(ParallelFor, PoolVariantCoversRange) {
-  sp::ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(321);
-  sp::parallel_for_pool(pool, 0, 321, 32,
-                        [&](std::size_t lo, std::size_t hi) {
-                          for (std::size_t i = lo; i < hi; ++i) ++hits[i];
-                        });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+TEST(ForBlocks, ExceptionFromALaterBlockReachesTheCaller) {
+  sp::global_pool().grow(2);
+  if (std::min(sp::global_pool().size(), sp::max_compute_tasks()) < 2) {
+    GTEST_SKIP() << "compute fan-out is pinned to one task";
+  }
+  std::atomic<int> blocks{0};
+  EXPECT_THROW(sp::for_blocks(64, 1,
+                              [&](std::size_t lo, std::size_t) {
+                                ++blocks;
+                                if (lo != 0) throw std::runtime_error("late");
+                              }),
+               std::runtime_error);
+  EXPECT_GE(blocks.load(), 2);
+}
+
+TEST(ForBlocks, RunsAsOneInlineBlockOnAPoolWorker) {
+  const std::size_t n = 321;
+  const auto blocks =
+      sp::global_pool()
+          .submit([n] {
+            std::vector<std::pair<std::size_t, std::size_t>> seen;
+            sp::for_blocks(n, 1, [&](std::size_t lo, std::size_t hi) {
+              seen.emplace_back(lo, hi);
+            });
+            return seen;
+          })
+          .get();
+  ASSERT_EQ(blocks.size(), 1u);
+  EXPECT_EQ(blocks[0], std::make_pair(std::size_t{0}, n));
 }
 
 // ------------------------------------------------------------- engines ----
@@ -195,7 +224,7 @@ TEST_P(EngineAgreement, WeightRecomputeMatchesNaive) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, EngineAgreement,
-                         ::testing::Values("openmp", "simd", "device_sim"));
+                         ::testing::Values("simd", "device_sim"));
 
 TEST(Engines, FactoryRejectsUnknownName) {
   EXPECT_THROW((void)sp::EngineRegistry::instance().create("cuda"),
@@ -211,7 +240,7 @@ TEST(Engines, AllRegisteredNamesConstruct) {
 
 TEST(Engines, HostEnginesReportZeroTransfers) {
   EngineFixture fx;
-  for (const std::string name : {"naive", "openmp", "simd"}) {
+  for (const std::string name : {"naive", "simd"}) {
     auto engine = sp::EngineRegistry::instance().create(name);
     st::MatrixF s;
     engine->support(fx.x, fx.w, fx.bias.data(), s);

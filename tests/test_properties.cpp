@@ -103,7 +103,7 @@ TEST_P(EngineGeometrySweep, FullStepMatchesNaive) {
 
 INSTANTIATE_TEST_SUITE_P(
     GridByEngine, EngineGeometrySweep,
-    ::testing::Combine(::testing::Values("openmp", "simd", "device_sim"),
+    ::testing::Combine(::testing::Values("simd", "device_sim"),
                        ::testing::Values(0, 1, 2, 3, 4)));
 
 // ---------------------------------------------------------------------

@@ -118,8 +118,8 @@ TEST_P(GemmShapes, BlockedMatchesNaive) {
   st::MatrixF c_blocked = c_naive;
   st::gemm_naive(st::Transpose::kNo, st::Transpose::kNo, 2.0f, a, b, 0.25f,
                  c_naive);
-  st::gemm_blocked(st::Transpose::kNo, st::Transpose::kNo, 2.0f, a, b, 0.25f,
-                   c_blocked);
+  st::gemm(st::Transpose::kNo, st::Transpose::kNo, 2.0f, a, b, 0.25f,
+           c_blocked);
   for (std::size_t i = 0; i < c_naive.size(); ++i) {
     EXPECT_NEAR(c_naive.data()[i], c_blocked.data()[i],
                 1e-4f * (1.0f + std::abs(c_naive.data()[i])));
@@ -141,8 +141,7 @@ TEST(Gemm, TransposeAMatchesNaive) {
   st::MatrixF c(5, 4, 0.0f);
   st::gemm_naive(st::Transpose::kYes, st::Transpose::kNo, 1.0f, a, b, 0.0f,
                  c_ref);
-  st::gemm_blocked(st::Transpose::kYes, st::Transpose::kNo, 1.0f, a, b, 0.0f,
-                   c);
+  st::gemm(st::Transpose::kYes, st::Transpose::kNo, 1.0f, a, b, 0.0f, c);
   for (std::size_t i = 0; i < c.size(); ++i) {
     EXPECT_NEAR(c_ref.data()[i], c.data()[i], 1e-4f);
   }
@@ -156,8 +155,7 @@ TEST(Gemm, TransposeBMatchesNaive) {
   st::MatrixF c(5, 4, 0.0f);
   st::gemm_naive(st::Transpose::kNo, st::Transpose::kYes, 1.0f, a, b, 0.0f,
                  c_ref);
-  st::gemm_blocked(st::Transpose::kNo, st::Transpose::kYes, 1.0f, a, b, 0.0f,
-                   c);
+  st::gemm(st::Transpose::kNo, st::Transpose::kYes, 1.0f, a, b, 0.0f, c);
   for (std::size_t i = 0; i < c.size(); ++i) {
     EXPECT_NEAR(c_ref.data()[i], c.data()[i], 1e-4f);
   }
@@ -171,8 +169,7 @@ TEST(Gemm, BothTransposed) {
   st::MatrixF c(3, 5, 0.0f);
   st::gemm_naive(st::Transpose::kYes, st::Transpose::kYes, 1.0f, a, b, 0.0f,
                  c_ref);
-  st::gemm_blocked(st::Transpose::kYes, st::Transpose::kYes, 1.0f, a, b, 0.0f,
-                   c);
+  st::gemm(st::Transpose::kYes, st::Transpose::kYes, 1.0f, a, b, 0.0f, c);
   for (std::size_t i = 0; i < c.size(); ++i) {
     EXPECT_NEAR(c_ref.data()[i], c.data()[i], 1e-4f);
   }

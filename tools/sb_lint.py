@@ -26,6 +26,12 @@ of code:
    declared counters (so the "reasons partition batches" invariant the
    serving tests assert cannot silently lose a term).
 
+4. one-runtime — parallel::ThreadPool is the only thread runtime:
+   every parallel loop goes through parallel::for_blocks. Under src/,
+   include/, tests/, bench/ and examples/ no C++ file may carry a
+   `#pragma omp` other than `omp simd` (a compile-time vectorization
+   hint), include <omp.h>, or call an `omp_*` function.
+
 Checks are plain functions over file *text* so the unit tests
 (tests/lint/test_sb_lint.py) can feed fixtures; main() wires them to
 the real tree. Exit status: 0 clean, 1 findings, 2 usage/IO error.
@@ -48,6 +54,8 @@ KERNEL_TIERS = (
 )
 ASYNC_HPP = "src/api/async_predictor.hpp"
 ASYNC_CPP = "src/api/async_predictor.cpp"
+RUNTIME_DIRS = ("src", "include", "tests", "bench", "examples")
+CXX_SUFFIXES = {".cpp", ".cc", ".hpp", ".h", ".inl"}
 
 
 # --- check 1: checkpoint section tags --------------------------------------
@@ -228,6 +236,40 @@ def check_close_reason_counters(hpp_text: str,
     return errors
 
 
+# --- check 4: one thread runtime --------------------------------------------
+
+OPENMP_RUNTIME_USES = (
+    (re.compile(r"^\s*#\s*pragma\s+omp\b(?!\s+simd\b)"),
+     "`#pragma omp` other than `omp simd`"),
+    (re.compile(r"#\s*include\s*[<\"]omp\.h[>\"]"), "<omp.h> include"),
+    (re.compile(r"\bomp_\w+\s*\("), "`omp_*` runtime call"),
+)
+
+
+def check_one_runtime(files: dict[str, str]) -> list[str]:
+    """Flag OpenMP runtime uses in {path: text}; only `omp simd` passes."""
+    errors: list[str] = []
+    for path, text in sorted(files.items()):
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            for pattern, what in OPENMP_RUNTIME_USES:
+                if pattern.search(line):
+                    errors.append(
+                        f"{path}:{lineno}: {what} — the ThreadPool is the "
+                        "only thread runtime; parallel loops go through "
+                        "parallel::for_blocks")
+    return errors
+
+
+def runtime_sources(root: Path) -> dict[str, str]:
+    files = {}
+    for top in RUNTIME_DIRS:
+        for path in sorted((root / top).rglob("*")):
+            if path.suffix in CXX_SUFFIXES and path.is_file():
+                files[path.relative_to(root).as_posix()] = path.read_text(
+                    encoding="utf-8")
+    return files
+
+
 # --- driver -----------------------------------------------------------------
 
 def run_all(root: Path) -> list[str]:
@@ -239,6 +281,7 @@ def run_all(root: Path) -> list[str]:
     errors += check_kernel_tiers(
         read(KERNEL_SET_HEADER), {t: read(t) for t in KERNEL_TIERS})
     errors += check_close_reason_counters(read(ASYNC_HPP), read(ASYNC_CPP))
+    errors += check_one_runtime(runtime_sources(root))
     return errors
 
 
@@ -259,7 +302,8 @@ def main(argv: list[str]) -> int:
         print(f"sb_lint: {len(errors)} invariant violation(s)")
         return 1
     print("sb_lint: all structural invariants hold "
-          "(checkpoint-sections, kernel-tiers, close-reason-counters)")
+          "(checkpoint-sections, kernel-tiers, close-reason-counters, "
+          "one-runtime)")
     return 0
 
 
