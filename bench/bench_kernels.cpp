@@ -1,20 +1,31 @@
 // Kernel-dispatch microbenchmark: times every available kernel tier
 // (scalar / sse42 / avx2) on the primitives that dominate BCPNN training
 // — GEMM above all — and emits BENCH_kernels.json with per-tier numbers
-// and speedups over the scalar reference. The acceptance bar for the
-// SIMD subsystem is >= 2x GEMM speedup on AVX2 hardware.
+// and speedups over the scalar reference. GEMM runs at square shapes and
+// at the shapes the system runs: one-hot support (batch 64 x 280 inputs
+// x 300 MCUs), its X^T A trace product, and 48- and 1666-row scoring,
+// each through gemm() and the dense schedule alone. A density sweep of
+// the sparse-A schedule against the dense one is where gemm()'s
+// switch-over constants come from. GFLOP/s are dense-equivalent
+// (2mnk / time) throughout.
 //
-//   bench_kernels [--out BENCH_kernels.json] [--reps 5]
+//   bench_kernels [--out BENCH_kernels.json] [--reps 5] [--check]
+//
+// --check exits 1 unless the sse42 and avx2 vexp and vlog_floored rows
+// run at >= 2x the scalar tier of the same run (tiers the host lacks are
+// skipped), so scalar-speed transcendentals cannot come back unseen.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "streambrain/streambrain.hpp"
 #include "tensor/cpu_features.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/kernel_set.hpp"
 
 using namespace streambrain;
@@ -34,6 +45,28 @@ struct Result {
 st::MatrixF random_matrix(std::size_t rows, std::size_t cols, util::Rng& rng) {
   st::MatrixF m(rows, cols, 0.0f);
   for (float& v : m) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  return m;
+}
+
+/// Quantile one-hot codes: one 1 per block of `bins` columns.
+st::MatrixF one_hot_codes(std::size_t rows, std::size_t features,
+                          std::size_t bins, util::Rng& rng) {
+  st::MatrixF m(rows, features * bins, 0.0f);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t f = 0; f < features; ++f) {
+      m(r, f * bins + rng.uniform_index(bins)) = 1.0f;
+    }
+  }
+  return m;
+}
+
+/// Each entry uniform in [0, 1) with probability `density`, else +0.0.
+st::MatrixF sparse_matrix(std::size_t rows, std::size_t cols, double density,
+                          util::Rng& rng) {
+  st::MatrixF m(rows, cols, 0.0f);
+  for (float& v : m) {
+    if (rng.bernoulli(density)) v = static_cast<float>(rng.uniform());
+  }
   return m;
 }
 
@@ -79,9 +112,34 @@ int main(int argc, char** argv) {
               st::dispatch_level_name(st::max_supported_dispatch()),
               st::dispatch_level_name(original), tiers.size());
 
+  const bool check = args.has("check");
   util::Rng rng(42);
   std::vector<Result> results;
   double gemm_best_speedup = 1.0;
+
+  // Times one GEMM schedule in every tier; rows after the scalar one get
+  // their speedup over it.
+  const auto time_gemm = [&](const std::string& kernel,
+                             const std::string& shape, double flops,
+                             const std::function<void()>& fn) {
+    double scalar_seconds = 0.0;
+    for (const st::KernelSet* tier : tiers) {
+      st::force_dispatch(tier->level);
+      const double seconds = time_call(reps, fn);
+      Result result{kernel, shape, tier->name, seconds, flops / seconds / 1e9,
+                    1.0};
+      if (tier->level == st::DispatchLevel::kScalar) {
+        scalar_seconds = seconds;
+      } else if (scalar_seconds > 0.0) {
+        result.speedup_vs_scalar = scalar_seconds / seconds;
+      }
+      results.push_back(result);
+      std::printf("  %-13s %-22s %-7s %8.3f ms  %7.2f GFLOP/s  %5.2fx\n",
+                  kernel.c_str(), shape.c_str(), tier->name, seconds * 1e3,
+                  result.gflops, result.speedup_vs_scalar);
+    }
+    st::force_dispatch(original);
+  };
 
   // --- GEMM through the public dispatched entry point -----------------
   for (const std::size_t dim : {128UL, 256UL, 384UL}) {
@@ -91,28 +149,80 @@ int main(int argc, char** argv) {
     const double flops = 2.0 * static_cast<double>(dim) * dim * dim;
     const std::string shape = std::to_string(dim) + "x" + std::to_string(dim) +
                               "x" + std::to_string(dim);
-    double scalar_seconds = 0.0;
-    for (const st::KernelSet* tier : tiers) {
-      st::force_dispatch(tier->level);
-      const double seconds = time_call(reps, [&] {
-        st::gemm(st::Transpose::kNo, st::Transpose::kNo, 1.0f, a, b, 0.0f, c);
-      });
-      Result result{"gemm", shape, tier->name, seconds, flops / seconds / 1e9,
-                    1.0};
-      if (tier->level == st::DispatchLevel::kScalar) {
-        scalar_seconds = seconds;
-      } else if (scalar_seconds > 0.0) {
-        result.speedup_vs_scalar = scalar_seconds / seconds;
-        gemm_best_speedup = std::max(gemm_best_speedup,
-                                     result.speedup_vs_scalar);
-      }
-      results.push_back(result);
-      std::printf("  gemm %-12s %-7s %8.2f ms  %7.2f GFLOP/s  %5.2fx\n",
-                  shape.c_str(), tier->name, seconds * 1e3,
-                  result.gflops, result.speedup_vs_scalar);
-    }
+    time_gemm("gemm", shape, flops, [&] {
+      st::gemm(st::Transpose::kNo, st::Transpose::kNo, 1.0f, a, b, 0.0f, c);
+    });
   }
-  st::force_dispatch(original);
+  for (const Result& result : results) {
+    gemm_best_speedup = std::max(gemm_best_speedup, result.speedup_vs_scalar);
+  }
+
+  // --- GEMM at the shapes training and serving run --------------------
+  // HIGGS: 28 features x 10 quantile bins = 280 one-hot inputs, 300 MCUs.
+  constexpr std::size_t kFeatures = 28;
+  constexpr std::size_t kBins = 10;
+  constexpr std::size_t kInputs = kFeatures * kBins;
+  constexpr std::size_t kMcus = 300;
+  const st::MatrixF w = random_matrix(kInputs, kMcus, rng);
+  for (const std::size_t rows : {64UL, 48UL, 1666UL}) {
+    const st::MatrixF x = one_hot_codes(rows, kFeatures, kBins, rng);
+    st::MatrixF s(rows, kMcus, 0.0f);
+    const double flops = 2.0 * static_cast<double>(rows) * kInputs * kMcus;
+    const std::string shape = "onehot " + std::to_string(rows) + "x" +
+                              std::to_string(kInputs) + "x" +
+                              std::to_string(kMcus);
+    time_gemm("gemm", shape, flops, [&] {
+      st::gemm(st::Transpose::kNo, st::Transpose::kNo, 1.0f, x, w, 0.0f, s);
+    });
+    time_gemm("gemm_dense", shape, flops, [&] {
+      st::detail::gemm_dense(st::Transpose::kNo, st::Transpose::kNo, 1.0f, x,
+                             w, 0.0f, s);
+    });
+  }
+  {
+    // Trace product p_ij = (1 - alpha) p_ij + (alpha / B) X^T A.
+    constexpr std::size_t kBatch = 64;
+    const st::MatrixF x = one_hot_codes(kBatch, kFeatures, kBins, rng);
+    st::MatrixF act = sparse_matrix(kBatch, kMcus, 1.0, rng);
+    st::MatrixF pij = sparse_matrix(kInputs, kMcus, 1.0, rng);
+    const double flops = 2.0 * static_cast<double>(kInputs) * kMcus * kBatch;
+    const std::string shape = "X^T.A " + std::to_string(kInputs) + "x" +
+                              std::to_string(kMcus) + "x" +
+                              std::to_string(kBatch);
+    time_gemm("gemm", shape, flops, [&] {
+      st::gemm(st::Transpose::kYes, st::Transpose::kNo, 1e-3f, x, act, 0.99f,
+               pij);
+    });
+    time_gemm("gemm_dense", shape, flops, [&] {
+      st::detail::gemm_dense(st::Transpose::kYes, st::Transpose::kNo, 1e-3f,
+                             x, act, 0.99f, pij);
+    });
+  }
+
+  // --- Sparse-A vs dense schedule: density and k sweeps ----------------
+  // gemm() takes the sparse schedule where these rows show it winning.
+  const auto sweep = [&](std::size_t m, std::size_t k, std::size_t n,
+                         double density) {
+    const st::MatrixF a = sparse_matrix(m, k, density, rng);
+    const st::MatrixF b = random_matrix(k, n, rng);
+    st::MatrixF c(m, n, 0.0f);
+    const double flops = 2.0 * static_cast<double>(m) * n * k;
+    char shape[64];
+    std::snprintf(shape, sizeof(shape), "d=%.2f %zux%zux%zu", density, m, k,
+                  n);
+    time_gemm("gemm_sparse_a", shape, flops, [&] {
+      st::detail::gemm_sparse_a(st::Transpose::kNo, st::Transpose::kNo, 1.0f,
+                                a, b, 0.0f, c);
+    });
+    time_gemm("gemm_dense", shape, flops, [&] {
+      st::detail::gemm_dense(st::Transpose::kNo, st::Transpose::kNo, 1.0f, a,
+                             b, 0.0f, c);
+    });
+  };
+  for (const double density : {0.05, 0.1, 0.2, 0.3, 0.4, 0.5}) {
+    sweep(64, kInputs, kMcus, density);
+  }
+  for (const std::size_t k : {4UL, 8UL, 16UL, 32UL}) sweep(64, k, kMcus, 0.1);
 
   // --- Vector primitives, per tier, straight through the vtable -------
   constexpr std::size_t kN = 1 << 16;
@@ -126,12 +236,10 @@ int main(int argc, char** argv) {
   };
   volatile float sink = 0.0f;
   for (const st::KernelSet* tier : tiers) {
-    const VecBench benches[5] = {{"axpy", 2.0},
-                                 {"dot", 2.0},
-                                 {"reduce_sum", 1.0},
-                                 {"vexp", 1.0},
-                                 {"softmax_block", 4.0}};
-    for (int which = 0; which < 5; ++which) {
+    const VecBench benches[6] = {{"axpy", 2.0},          {"dot", 2.0},
+                                 {"reduce_sum", 1.0},    {"vexp", 1.0},
+                                 {"vlog_floored", 1.0},  {"softmax_block", 4.0}};
+    for (int which = 0; which < 6; ++which) {
       const double seconds = time_call(reps * 4, [&] {
         switch (which) {
           case 0:
@@ -147,6 +255,9 @@ int main(int argc, char** argv) {
             tier->vexp(xs.data(), scratch.data(), kN);
             break;
           case 4:
+            tier->vlog_floored(xs.data(), scratch.data(), 1e-6f, kN);
+            break;
+          case 5:
             std::copy_n(xs.data(), kN, scratch.data());
             tier->softmax_block(scratch.data(), kN, 1.0f);
             break;
@@ -194,5 +305,26 @@ int main(int argc, char** argv) {
   out << "  ]\n}\n";
   std::printf("\nbest GEMM speedup vs scalar: %.2fx\nwrote %s\n",
               gemm_best_speedup, out_path.c_str());
-  return 0;
+
+  if (!check) return 0;
+  // Same-run comparison only: the floor is relative to this host's
+  // scalar tier, never an absolute number.
+  constexpr double kMinTranscendentalSpeedup = 2.0;
+  bool passed = true;
+  for (const Result& result : results) {
+    if ((result.kernel == "vexp" || result.kernel == "vlog_floored") &&
+        result.tier != std::string("scalar") &&
+        result.speedup_vs_scalar < kMinTranscendentalSpeedup) {
+      std::printf("--check FAILED: %s on %s runs at %.2fx scalar (< %.1fx)\n",
+                  result.kernel.c_str(), result.tier.c_str(),
+                  result.speedup_vs_scalar, kMinTranscendentalSpeedup);
+      passed = false;
+    }
+  }
+  if (passed) {
+    std::printf("--check passed: vexp and vlog_floored >= %.1fx scalar in "
+                "every SIMD tier built and supported here\n",
+                kMinTranscendentalSpeedup);
+  }
+  return passed ? 0 : 1;
 }

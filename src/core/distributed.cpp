@@ -364,9 +364,7 @@ void run_unsupervised_phase(comm::Communicator& comm,
     if (noise_std > 0.0f) {
       util::Rng noise_rng =
           shard_noise_rng(noise_stream, id.epoch, id.batch, id.shard);
-      for (float& v : activations) {
-        v += static_cast<float>(noise_rng.normal(0.0, noise_std));
-      }
+      add_support_noise(noise_rng, noise_std, activations);
     }
     engine.softmax_hcu(activations, cfg.mcus, cfg.inverse_temperature);
     accumulate_trace_stats(shard_x, activations, pij_scratch, slot);

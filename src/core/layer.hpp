@@ -196,4 +196,10 @@ class BcpnnLayer {
   std::unique_ptr<tensor::QuantCsr> quant_sparse_wt_;
 };
 
+/// values[i] += N(0, noise_std), exactly the draws of per-entry
+/// rng.normal(0, noise_std) calls in row-major order; the Box-Muller
+/// transforms fan out through parallel::for_blocks.
+void add_support_noise(util::Rng& rng, float noise_std,
+                       tensor::MatrixF& values);
+
 }  // namespace streambrain::core

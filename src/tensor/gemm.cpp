@@ -1,6 +1,10 @@
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -70,6 +74,12 @@ constexpr std::size_t kBlockK = 256;
 // Minimum rows per fan-out block: below this the submit overhead beats
 // the parallelism.
 constexpr std::size_t kMinRowsPerTask = 32;
+// The sparse-A schedule runs when at most this share of op(A) is stored
+// and k is at least kSparseMinK; chosen from bench_kernels'
+// gemm_sparse_a / gemm_dense rows. Its index lists are 32-bit.
+constexpr double kSparseMaxDensity = 0.25;
+constexpr std::size_t kSparseMinK = 16;
+constexpr std::size_t kSparseMaxDim = std::numeric_limits<std::uint32_t>::max();
 
 // Rows [r0, r1) of C, all K panels, on the calling thread. Per C element
 // the accumulation order is fixed (ascending k), so results are
@@ -100,25 +110,193 @@ void gemm_naive(Transpose trans_a, Transpose trans_b, float alpha,
   }
 }
 
-void gemm(Transpose trans_a, Transpose trans_b, float alpha, const MatrixF& a,
-          const MatrixF& b, float beta, MatrixF& c) {
-  const auto [m, n, k] = check_dims(trans_a, trans_b, a, b, c);
+namespace {
 
+void run_dense(Transpose trans_a, Transpose trans_b, float alpha,
+               const MatrixF& a, const MatrixF& b, MatrixF& c, const Dims& d,
+               const KernelSet& kernels) {
   std::vector<float> a_storage;
   std::vector<float> b_storage;
-  const float* a_ptr = pack_a(trans_a, a, m, k, a_storage);
-  const float* b_ptr = pack_b(trans_b, b, k, n, b_storage);
-
-  const KernelSet& kernels = active_kernels();
-  apply_beta(beta, c, kernels);
-  if (n == 0 || k == 0) return;
-
-  parallel::for_blocks(m, kMinRowsPerTask,
+  const float* a_ptr = pack_a(trans_a, a, d.m, d.k, a_storage);
+  const float* b_ptr = pack_b(trans_b, b, d.k, d.n, b_storage);
+  parallel::for_blocks(d.m, kMinRowsPerTask,
                        [&](std::size_t r0, std::size_t r1) {
                          run_row_range(kernels, alpha, a_ptr, b_ptr, c, r0,
-                                       r1, n, k);
+                                       r1, d.n, d.k);
                        });
 }
+
+// Rows of a matrix by their entries other than +0.0 (-0.0 is kept: its
+// sign reaches the product). Row i spans [begin[i], end[i]) of
+// cols/values, ascending by column.
+struct RowLists {
+  std::vector<std::uint64_t> begin;
+  std::vector<std::uint64_t> end;
+  std::vector<std::uint32_t> cols;
+  std::vector<float> values;
+};
+
+inline std::uint32_t is_stored(float v) noexcept {
+  return std::bit_cast<std::uint32_t>(v) != 0 ? 1u : 0u;
+}
+
+// Stored entries of A, counted row by row until they exceed `limit`.
+std::size_t count_stored(const MatrixF& a, std::size_t limit) noexcept {
+  std::size_t stored = 0;
+  for (std::size_t r = 0; r < a.rows() && stored <= limit; ++r) {
+    const float* row = a.row(r);
+    for (std::size_t c = 0; c < a.cols(); ++c) stored += is_stored(row[c]);
+  }
+  return stored;
+}
+
+// Branch-free: every entry is written to the next free slot, which
+// advances only past stored ones, so the last write may land one slot
+// past the end. `stored` must be the stored entries of A.
+void fill_row_lists(const MatrixF& a, std::size_t stored, RowLists& out) {
+  const std::size_t m = a.rows();
+  const std::size_t k = a.cols();
+  out.begin.resize(m);
+  out.end.resize(m);
+  out.cols.resize(stored + 1);
+  out.values.resize(stored + 1);
+  std::uint32_t* cols = out.cols.data();
+  float* values = out.values.data();
+  std::uint64_t next = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* a_row = a.row(i);
+    out.begin[i] = next;
+    for (std::size_t p = 0; p < k; ++p) {
+      cols[next] = static_cast<std::uint32_t>(p);
+      values[next] = a_row[p];
+      next += is_stored(a_row[p]);
+    }
+    out.end[i] = next;
+  }
+}
+
+// The row lists of A^T from those of A (a counting sort by column).
+// Walking A's rows in order appends each column's entries by ascending
+// row, so every list of A^T ascends too.
+void transpose_row_lists(const RowLists& in, std::size_t cols_of_in,
+                         RowLists& out) {
+  out.begin.assign(cols_of_in, 0);
+  out.end.resize(cols_of_in);
+  const std::size_t stored = in.begin.empty() ? 0 : in.end.back();
+  for (std::size_t q = 0; q < stored; ++q) ++out.begin[in.cols[q]];
+  std::uint64_t start = 0;
+  for (std::size_t i = 0; i < cols_of_in; ++i) {
+    const std::uint64_t count = out.begin[i];
+    out.begin[i] = start;
+    out.end[i] = start;
+    start += count;
+  }
+  out.cols.resize(stored);
+  out.values.resize(stored);
+  for (std::size_t p = 0; p < in.begin.size(); ++p) {
+    for (std::uint64_t q = in.begin[p]; q < in.end[p]; ++q) {
+      const std::uint64_t slot = out.end[in.cols[q]]++;
+      out.cols[slot] = static_cast<std::uint32_t>(p);
+      out.values[slot] = in.values[q];
+    }
+  }
+}
+
+// The row lists of op(A) in storage each thread reuses across calls (the
+// fan-out blocks only read it). `stored` must be the stored entries of A.
+const RowLists& sparse_op_a(Transpose trans_a, const MatrixF& a,
+                            std::size_t stored) {
+  thread_local RowLists op_a;
+  thread_local RowLists staging;  // A's own rows when op(A) = A^T
+  if (trans_a == Transpose::kNo) {
+    fill_row_lists(a, stored, op_a);
+  } else {
+    fill_row_lists(a, stored, staging);
+    transpose_row_lists(staging, a.cols(), op_a);
+  }
+  return op_a;
+}
+
+bool all_finite(const MatrixF& b) noexcept {
+  std::uint32_t non_finite = 0;
+  for (const float v : b) {
+    non_finite |= (std::bit_cast<std::uint32_t>(v) & 0x7F800000u) ==
+                  0x7F800000u;
+  }
+  return non_finite == 0;
+}
+
+void run_sparse(Transpose trans_b, float alpha, const RowLists& rows,
+                const MatrixF& b, MatrixF& c, const Dims& d,
+                const KernelSet& kernels) {
+  std::vector<float> b_storage;
+  const float* b_ptr = pack_b(trans_b, b, d.k, d.n, b_storage);
+  parallel::for_blocks(d.m, kMinRowsPerTask,
+                       [&](std::size_t r0, std::size_t r1) {
+                         kernels.gemm_sparse_a(
+                             alpha, rows.begin.data() + r0,
+                             rows.end.data() + r0, rows.cols.data(),
+                             rows.values.data(), b_ptr, d.n, c.row(r0), d.n,
+                             r1 - r0, d.n, d.k);
+                       });
+}
+
+enum class Schedule { kChoose, kDense, kSparseA };
+
+void gemm_with(Schedule schedule, Transpose trans_a, Transpose trans_b,
+               float alpha, const MatrixF& a, const MatrixF& b, float beta,
+               MatrixF& c) {
+  const Dims d = check_dims(trans_a, trans_b, a, b, c);
+  const KernelSet& kernels = active_kernels();
+  apply_beta(beta, c, kernels);
+  if (d.n == 0 || d.k == 0) return;
+
+  // The sparse path pays an index build (about one pass over A) to skip
+  // the zero terms; at or below kSparseMaxDensity it wins at the training
+  // and serving shapes (bench_kernels' gemm_sparse_a rows). Non-finite
+  // alpha or B make 0 * x a NaN, which only the dense sweep reproduces.
+  std::size_t stored = a.size();
+  if (schedule == Schedule::kChoose) {
+    schedule = Schedule::kDense;
+    if (d.k >= kSparseMinK && d.k <= kSparseMaxDim && d.m <= kSparseMaxDim &&
+        std::isfinite(alpha)) {
+      const auto limit = static_cast<std::size_t>(
+          kSparseMaxDensity * static_cast<double>(d.m * d.k));
+      stored = count_stored(a, limit);
+      if (stored <= limit && all_finite(b)) schedule = Schedule::kSparseA;
+    }
+  } else if (schedule == Schedule::kSparseA) {
+    stored = count_stored(a, stored);
+  }
+  if (schedule == Schedule::kSparseA) {
+    run_sparse(trans_b, alpha, sparse_op_a(trans_a, a, stored), b, c, d,
+               kernels);
+  } else {
+    run_dense(trans_a, trans_b, alpha, a, b, c, d, kernels);
+  }
+}
+
+}  // namespace
+
+void gemm(Transpose trans_a, Transpose trans_b, float alpha, const MatrixF& a,
+          const MatrixF& b, float beta, MatrixF& c) {
+  gemm_with(Schedule::kChoose, trans_a, trans_b, alpha, a, b, beta, c);
+}
+
+namespace detail {
+
+void gemm_dense(Transpose trans_a, Transpose trans_b, float alpha,
+                const MatrixF& a, const MatrixF& b, float beta, MatrixF& c) {
+  gemm_with(Schedule::kDense, trans_a, trans_b, alpha, a, b, beta, c);
+}
+
+void gemm_sparse_a(Transpose trans_a, Transpose trans_b, float alpha,
+                   const MatrixF& a, const MatrixF& b, float beta,
+                   MatrixF& c) {
+  gemm_with(Schedule::kSparseA, trans_a, trans_b, alpha, a, b, beta, c);
+}
+
+}  // namespace detail
 
 MatrixF matmul(const MatrixF& a, const MatrixF& b) {
   MatrixF c(a.rows(), b.cols());

@@ -1,9 +1,10 @@
 // AVX2+FMA kernel tier. The shared bodies are compiled with
-// -mavx2 -mfma -fopenmp-simd (8 float lanes); the GEMM tile is replaced
-// by a hand-written micro-kernel with 4-row x 16-column register
-// blocking, which loads each B panel row once per 4 rows of A and keeps
-// 8 FMA accumulators live. When the build lacks the flags this TU
-// degrades to a null tier.
+// -mavx2 -mfma -fopenmp-simd -fno-trapping-math (8 float lanes); the GEMM
+// tile is replaced by a hand-written micro-kernel with 4-row x 16-column
+// register blocking, which loads each B panel row once per 4 rows of A
+// and keeps 8 FMA accumulators live, and the sparse-A rows by an FMA
+// kernel with the same per-element arithmetic. When the build lacks the
+// flags this TU degrades to a null tier.
 
 #include "tensor/kernel_tiers.hpp"
 
@@ -217,6 +218,102 @@ inline void k_gemm_block(float alpha, const float* a, std::size_t lda,
   }
 }
 
+namespace {
+
+// Columns [j, j + 64) of one sparse row (masked past n when kTail): one
+// fma per stored entry in 8 independent 8-lane chains, C keeping its old
+// value until the store. A -0.0 lane may differ from the dense sweep,
+// which adds the omitted +0.0 terms; those lanes are recomputed.
+template <bool kTail>
+inline void sparse_row_block(float alpha, const std::uint32_t* cols,
+                             const float* values, std::size_t nnz,
+                             const float* b, std::size_t ldb, float* c_row,
+                             std::size_t j, std::size_t n, std::size_t k) {
+  constexpr int kVectors = 8;
+  __m256i mask[kVectors];
+  if constexpr (kTail) {
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    for (int t = 0; t < kVectors; ++t) {
+      mask[t] = _mm256_cmpgt_epi32(
+          _mm256_set1_epi32(static_cast<int>(n - j) - 8 * t), lane);
+    }
+  }
+  const auto load = [&](const float* from, int t) {
+    if constexpr (kTail) return _mm256_maskload_ps(from + 8 * t, mask[t]);
+    return _mm256_loadu_ps(from + 8 * t);
+  };
+  __m256 acc[kVectors];
+  for (int t = 0; t < kVectors; ++t) acc[t] = load(c_row + j, t);
+  for (std::size_t q = 0; q < nnz; ++q) {
+    const __m256 av = _mm256_set1_ps(alpha * values[q]);
+    const float* b_row = b + cols[q] * ldb + j;
+    for (int t = 0; t < kVectors; ++t) {
+      acc[t] = _mm256_fmadd_ps(av, load(b_row, t), acc[t]);
+    }
+  }
+  const __m256i neg_zero = _mm256_set1_epi32(static_cast<int>(0x80000000u));
+  for (int t = 0; t < kVectors; ++t) {
+    const __m256i is_neg_zero =
+        _mm256_cmpeq_epi32(_mm256_castps_si256(acc[t]), neg_zero);
+    int lanes = _mm256_movemask_ps(_mm256_castsi256_ps(is_neg_zero));
+    if constexpr (kTail) {
+      lanes &= _mm256_movemask_ps(_mm256_castsi256_ps(mask[t]));
+    }
+    float* out = c_row + j + 8 * t;
+    if (lanes != 0) {
+      alignas(32) float fixed[8];
+      _mm256_store_ps(fixed, acc[t]);
+      for (int lane = 0; lane < 8; ++lane) {
+        if ((lanes >> lane) & 1) {
+          fixed[lane] = k_gemm_dense_element(
+              alpha, cols, values, nnz, b, ldb,
+              j + 8 * static_cast<std::size_t>(t) +
+                  static_cast<std::size_t>(lane),
+              k, out[lane],
+              [](float x, float y, float z) { return std::fma(x, y, z); });
+        }
+      }
+      acc[t] = _mm256_load_ps(fixed);
+    }
+    if constexpr (kTail) {
+      _mm256_maskstore_ps(out, mask[t], acc[t]);
+    } else {
+      _mm256_storeu_ps(out, acc[t]);
+    }
+  }
+}
+
+}  // namespace
+
+// Sparse-A rows with gemm_row1's arithmetic: per C element one FMA per
+// stored entry, k ascending, 64 columns per register block and a masked
+// block for the column tail.
+inline void k_gemm_sparse_a(float alpha, const std::uint64_t* row_begin,
+                            const std::uint64_t* row_end,
+                            const std::uint32_t* cols, const float* values,
+                            const float* b, std::size_t ldb, float* c,
+                            std::size_t ldc, std::size_t mr, std::size_t n,
+                            std::size_t k) {
+  // Column blocks outermost: every row of the panel reuses the same
+  // 64-column slab of B while it is cache-hot.
+  for (std::size_t j = 0; j < n; j += 64) {
+    for (std::size_t i = 0; i < mr; ++i) {
+      const std::uint32_t* row_cols = cols + row_begin[i];
+      const float* row_values = values + row_begin[i];
+      const std::size_t nnz =
+          static_cast<std::size_t>(row_end[i] - row_begin[i]);
+      float* c_row = c + i * ldc;
+      if (j + 64 <= n) {
+        sparse_row_block<false>(alpha, row_cols, row_values, nnz, b, ldb,
+                                c_row, j, n, k);
+      } else {
+        sparse_row_block<true>(alpha, row_cols, row_values, nnz, b, ldb,
+                               c_row, j, n, k);
+      }
+    }
+  }
+}
+
 }  // namespace avx2_impl
 
 namespace detail {
@@ -240,6 +337,7 @@ const KernelSet* kernel_set_avx2() noexcept {
       &k_softmax_block,
       &k_gemv,
       &k_gemm_block,
+      &k_gemm_sparse_a,
       &k_momentum_update,
       &k_spmv,
       &k_spmm,

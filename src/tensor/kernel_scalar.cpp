@@ -41,6 +41,7 @@ const KernelSet* kernel_set_scalar() noexcept {
       &k_softmax_block,
       &k_gemv,
       &k_gemm_block,
+      &k_gemm_sparse_a,
       &k_momentum_update,
       &k_spmv,
       &k_spmm,

@@ -1,8 +1,8 @@
 #pragma once
 // Runtime-dispatched SIMD kernel subsystem. A KernelSet is a vtable of
-// the hot-loop primitives (gemm tile, gemv, axpy, dot, reductions,
-// relu / threshold-mask, exp/log transforms, per-block softmax); three
-// sets exist, one per instruction tier:
+// the hot-loop primitives (gemm tile, sparse-A gemm rows, gemv, axpy,
+// dot, reductions, relu / threshold-mask, exp/log transforms, per-block
+// softmax); three sets exist, one per instruction tier:
 //
 //   scalar : plain ordered loops, no reassociation — the correctness
 //            reference (and the only tier on non-x86 hosts)
@@ -73,6 +73,18 @@ struct KernelSet {
                      const float* b, std::size_t ldb, float* c,
                      std::size_t ldc, std::size_t mr, std::size_t n,
                      std::size_t k);
+  /// Sparse-A GEMM rows: C[mr x n] += alpha * A[mr x k] * B[k x n] where
+  /// row i of A is given by its entries other than +0.0, as
+  /// (cols[q], values[q]) for q in [row_begin[i], row_end[i]), ascending
+  /// by column. Each tier uses gemm_block's multiply-add over those
+  /// entries, so for finite alpha and B the result is bit-identical to
+  /// gemm_block over the dense A, including the sign of zero results.
+  void (*gemm_sparse_a)(float alpha, const std::uint64_t* row_begin,
+                        const std::uint64_t* row_end,
+                        const std::uint32_t* cols, const float* values,
+                        const float* b, std::size_t ldb, float* c,
+                        std::size_t ldc, std::size_t mr, std::size_t n,
+                        std::size_t k);
   /// Fused SGD momentum step (one pass over the three arrays):
   ///   v[i] = mu * v[i] - lr * (g[i] + l2 * w[i]);  w[i] += v[i]
   void (*momentum_update)(float mu, float lr, float l2, const float* g,

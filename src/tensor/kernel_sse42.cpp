@@ -1,6 +1,7 @@
 // SSE4.2 kernel tier. The shared kernel bodies are compiled with
-// -msse4.2 -fopenmp-simd (see CMakeLists), so the elementwise loops and
-// the reductions vectorize to 4 float lanes. When the build lacks the
+// -msse4.2 -fopenmp-simd -fno-trapping-math (see CMakeLists), so the
+// elementwise loops, the exp/log transforms and the reductions vectorize
+// to 4 float lanes. When the build lacks the
 // flag (non-x86 hosts), this TU degrades to a null tier and the
 // dispatcher falls back to scalar.
 
@@ -47,6 +48,7 @@ const KernelSet* kernel_set_sse42() noexcept {
       &k_softmax_block,
       &k_gemv,
       &k_gemm_block,
+      &k_gemm_sparse_a,
       &k_momentum_update,
       &k_spmv,
       &k_spmm,

@@ -92,7 +92,11 @@ void softmax_blocks_temperature(MatrixF& m, std::size_t block,
       });
 }
 
-void wta_blocks(MatrixF& m, std::size_t block) noexcept {
+void wta_blocks(MatrixF& m, std::size_t block) {
+  if (block == 0 || m.cols() % block != 0) {
+    throw std::invalid_argument(
+        "wta_blocks: row width must be a multiple of the block size");
+  }
   const std::size_t blocks_per_row = m.cols() / block;
   for (std::size_t r = 0; r < m.rows(); ++r) {
     float* row = m.row(r);

@@ -67,8 +67,10 @@ void softmax_blocks_temperature(MatrixF& m, std::size_t block,
                                 float inverse_temperature);
 
 /// Hard winner-take-all within each block: winner gets 1, rest 0.
-/// Ties resolve to the lowest index (deterministic).
-void wta_blocks(MatrixF& m, std::size_t block) noexcept;
+/// Ties resolve to the lowest index (deterministic). Throws
+/// std::invalid_argument unless the row width is a nonzero multiple of
+/// `block` (like softmax_blocks).
+void wta_blocks(MatrixF& m, std::size_t block);
 
 /// Row-wise argmax (returns column index per row).
 void argmax_rows(const MatrixF& m, std::size_t* out) noexcept;

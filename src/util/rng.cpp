@@ -4,6 +4,18 @@
 
 namespace streambrain::util {
 
+namespace {
+
+/// Box-Muller: (u1, u2) -> two independent standard normals.
+void box_muller(double u1, double u2, double& first, double& second) noexcept {
+  const double radius = std::sqrt(-2.0 * std::log(u1));
+  const double angle = 2.0 * M_PI * u2;
+  second = radius * std::sin(angle);
+  first = radius * std::cos(angle);
+}
+
+}  // namespace
+
 double Rng::normal() noexcept {
   if (has_cached_normal_) {
     has_cached_normal_ = false;
@@ -11,15 +23,37 @@ double Rng::normal() noexcept {
   }
   // Box-Muller on (0,1] to avoid log(0).
   double u1 = 0.0;
-  do {
-    u1 = uniform();
-  } while (u1 <= 0.0);
-  const double u2 = uniform();
-  const double radius = std::sqrt(-2.0 * std::log(u1));
-  const double angle = 2.0 * M_PI * u2;
-  cached_normal_ = radius * std::sin(angle);
+  double u2 = 0.0;
+  draw_pair(u1, u2);
+  double first = 0.0;
+  box_muller(u1, u2, first, cached_normal_);
   has_cached_normal_ = true;
-  return radius * std::cos(angle);
+  return first;
+}
+
+void Rng::fill_normal(double mean, double stddev, double* out, std::size_t n,
+                      const BlockRunner& run) {
+  std::size_t i = 0;
+  if (n > 0 && has_cached_normal_) out[i++] = normal(mean, stddev);
+  // Each whole pair parks its uniforms in its own two output slots, then
+  // turns them into the pair's two values in place.
+  double* pair_out = out + i;
+  const std::size_t pairs = (n - i) / 2;
+  for (std::size_t p = 0; p < pairs; ++p) {
+    draw_pair(pair_out[2 * p], pair_out[2 * p + 1]);
+  }
+  run(pairs, [pair_out, mean, stddev](std::size_t lo, std::size_t hi) {
+    for (std::size_t p = lo; p < hi; ++p) {
+      double first = 0.0;
+      double second = 0.0;
+      box_muller(pair_out[2 * p], pair_out[2 * p + 1], first, second);
+      pair_out[2 * p] = mean + stddev * first;
+      pair_out[2 * p + 1] = mean + stddev * second;
+    }
+  });
+  i += 2 * pairs;
+  // An odd tail draws one more pair and keeps its second value cached.
+  if (i < n) out[i] = normal(mean, stddev);
 }
 
 double Rng::exponential(double lambda) noexcept {

@@ -9,7 +9,9 @@
 // parallel workers.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -95,6 +97,19 @@ class Rng {
     return mean + stddev * normal();
   }
 
+  /// Runs body(lo, hi) over blocks that cover [0, n), serially or on a
+  /// thread pool (util does not depend on parallel::).
+  using BlockRunner = std::function<void(
+      std::size_t n, const std::function<void(std::size_t, std::size_t)>& body)>;
+
+  /// out[i] = the value the i-th of n successive normal(mean, stddev)
+  /// calls would return, and the generator (cached second value included)
+  /// ends where those calls leave it. The uniforms are drawn in order; the
+  /// Box-Muller transforms of the pairs run through `run`, each pair on
+  /// its own, so any split gives the same bits.
+  void fill_normal(double mean, double stddev, double* out, std::size_t n,
+                   const BlockRunner& run);
+
   /// Exponential with rate lambda (mean 1/lambda).
   double exponential(double lambda) noexcept;
 
@@ -119,6 +134,14 @@ class Rng {
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
+  }
+
+  /// The two uniforms of one Box-Muller pair: u1 in (0, 1), u2 in [0, 1).
+  void draw_pair(double& u1, double& u2) noexcept {
+    do {
+      u1 = uniform();
+    } while (u1 <= 0.0);
+    u2 = uniform();
   }
 
   std::array<std::uint64_t, 4> state_{};

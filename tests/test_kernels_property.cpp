@@ -3,12 +3,19 @@
 // them) must match the ordered scalar reference within 1e-5 relative
 // tolerance — including ragged tails (n % simd_width != 0), empty
 // inputs, and aliased outputs. This is the contract that lets the
-// dispatcher swap tiers without changing learned behavior.
+// dispatcher swap tiers without changing learned behavior. Within each
+// tier, gemm()'s sparse-A schedule must match the dense one bit for bit.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "tensor/cpu_features.hpp"
@@ -493,4 +500,261 @@ TEST(KernelProperty, ForceDispatchRejectsUnavailableTiersAndRoundTrips) {
     EXPECT_THROW(st::force_dispatch(st::DispatchLevel::kAvx2),
                  std::invalid_argument);
   }
+}
+
+// ---- Sparse-A GEMM: the same bits as the dense schedule ---------------
+
+namespace {
+
+enum class Code { kOneHot, kThermometer, kRandom };
+
+/// op(A) as an m x k code matrix: one-hot or thermometer over blocks of
+/// 10 columns (a ragged last block included), or each entry nonzero with
+/// probability `density`.
+st::MatrixF code_matrix(std::size_t m, std::size_t k, Code code,
+                        double density, su::Rng& rng) {
+  constexpr std::size_t kBins = 10;
+  st::MatrixF a(m, k, 0.0f);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t b0 = 0; b0 < k; b0 += kBins) {
+      const std::size_t bins = std::min(kBins, k - b0);
+      const std::size_t hot = rng.uniform_index(bins);
+      for (std::size_t j = 0; j < bins; ++j) {
+        float& v = a(i, b0 + j);
+        switch (code) {
+          case Code::kOneHot:
+            v = j == hot ? 1.0f : 0.0f;
+            break;
+          case Code::kThermometer:
+            v = j <= hot ? 1.0f : 0.0f;
+            break;
+          case Code::kRandom:
+            if (rng.bernoulli(density)) {
+              v = static_cast<float>(rng.uniform(-2.0, 2.0));
+            }
+            break;
+        }
+      }
+    }
+  }
+  return a;
+}
+
+st::MatrixF transposed(const st::MatrixF& x) {
+  st::MatrixF t(x.cols(), x.rows(), 0.0f);
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    for (std::size_t j = 0; j < x.cols(); ++j) t(j, i) = x(i, j);
+  }
+  return t;
+}
+
+::testing::AssertionResult same_bits(const st::MatrixF& expected,
+                                     const st::MatrixF& actual) {
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const auto want = std::bit_cast<std::uint32_t>(expected.data()[i]);
+    const auto got = std::bit_cast<std::uint32_t>(actual.data()[i]);
+    if (want != got) {
+      char bits[64];
+      std::snprintf(bits, sizeof(bits), "0x%08x vs 0x%08x", want, got);
+      return ::testing::AssertionFailure()
+             << "element " << i << " (row " << i / expected.cols() << ", col "
+             << i % expected.cols() << "): dense " << expected.data()[i]
+             << " vs " << actual.data()[i] << " (" << bits << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::vector<st::DispatchLevel> available_levels() {
+  std::vector<st::DispatchLevel> levels;
+  for (const st::DispatchLevel level :
+       {st::DispatchLevel::kScalar, st::DispatchLevel::kSse42,
+        st::DispatchLevel::kAvx2}) {
+    if (st::kernel_set_for(level) != nullptr) levels.push_back(level);
+  }
+  return levels;
+}
+
+struct SparseCase {
+  st::Transpose trans_a;
+  st::Transpose trans_b;
+  float alpha;
+  float beta;
+};
+
+/// Runs gemm(), the forced sparse-A schedule and the dense schedule on
+/// the same operands in every available tier; all three must agree bit
+/// for bit (the forced schedule only when `finite_b`, its contract).
+/// `op_a` is op(A) (m x k), `op_b` is op(B) (k x n).
+void expect_sparse_matches_dense(const st::MatrixF& op_a,
+                                 const st::MatrixF& op_b,
+                                 const st::MatrixF& c0, const SparseCase& sc,
+                                 const std::string& label,
+                                 bool finite_b = true) {
+  const st::MatrixF a =
+      sc.trans_a == st::Transpose::kNo ? op_a : transposed(op_a);
+  const st::MatrixF b =
+      sc.trans_b == st::Transpose::kNo ? op_b : transposed(op_b);
+  const st::DispatchLevel original = st::active_kernels().level;
+  for (const st::DispatchLevel level : available_levels()) {
+    st::force_dispatch(level);
+    st::MatrixF dense = c0;
+    st::MatrixF chosen = c0;
+    st::MatrixF sparse = c0;
+    st::detail::gemm_dense(sc.trans_a, sc.trans_b, sc.alpha, a, b, sc.beta,
+                           dense);
+    st::gemm(sc.trans_a, sc.trans_b, sc.alpha, a, b, sc.beta, chosen);
+    st::detail::gemm_sparse_a(sc.trans_a, sc.trans_b, sc.alpha, a, b,
+                              sc.beta, sparse);
+    const std::string where =
+        label + " tier=" + st::dispatch_level_name(level) +
+        " transA=" + (sc.trans_a == st::Transpose::kYes ? "T" : "N") +
+        " transB=" + (sc.trans_b == st::Transpose::kYes ? "T" : "N") +
+        " alpha=" + std::to_string(sc.alpha) +
+        " beta=" + std::to_string(sc.beta);
+    EXPECT_TRUE(same_bits(dense, chosen)) << "gemm " << where;
+    if (finite_b) {
+      EXPECT_TRUE(same_bits(dense, sparse)) << "gemm_sparse_a " << where;
+    }
+  }
+  st::force_dispatch(original);
+}
+
+st::MatrixF random_dense(std::size_t rows, std::size_t cols, su::Rng& rng) {
+  st::MatrixF x(rows, cols, 0.0f);
+  for (float& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  return x;
+}
+
+}  // namespace
+
+TEST(KernelProperty, SparseAGemmIsBitIdenticalToDenseAcrossShapes) {
+  // Codes on both sides of gemm()'s density switch-over: one-hot (10%),
+  // thermometer (~55%) and random densities. k > 256 spans two K panels
+  // of the dense schedule.
+  struct Variant {
+    Code code;
+    double density;
+    const char* name;
+  };
+  const Variant variants[] = {{Code::kOneHot, 0.0, "one-hot"},
+                              {Code::kThermometer, 0.0, "thermometer"},
+                              {Code::kRandom, 0.02, "d=0.02"},
+                              {Code::kRandom, 0.2, "d=0.2"},
+                              {Code::kRandom, 0.3, "d=0.3"},
+                              {Code::kRandom, 0.7, "d=0.7"}};
+  const float alphas[] = {1.0f, 0.37f, -1.25f};
+  const float betas[] = {0.0f, 1.0f, 0.999f};
+  std::size_t counter = 0;
+  for (const std::size_t m : {1UL, 3UL, 64UL, 1666UL}) {
+    for (const std::size_t n : {1UL, 8UL, 300UL}) {
+      for (const std::size_t k : {64UL, 280UL, 300UL}) {
+        for (const Variant& variant : variants) {
+          ++counter;
+          su::Rng rng(counter * 7919);
+          const SparseCase sc{
+              counter % 2 == 0 ? st::Transpose::kNo : st::Transpose::kYes,
+              (counter / 2) % 2 == 0 ? st::Transpose::kNo
+                                     : st::Transpose::kYes,
+              alphas[counter % 3], betas[(counter / 3) % 3]};
+          const st::MatrixF op_a =
+              code_matrix(m, k, variant.code, variant.density, rng);
+          const st::MatrixF op_b = random_dense(k, n, rng);
+          const st::MatrixF c0 = random_dense(m, n, rng);
+          expect_sparse_matches_dense(
+              op_a, op_b, c0, sc,
+              std::string(variant.name) + " m=" + std::to_string(m) +
+                  " n=" + std::to_string(n) + " k=" + std::to_string(k));
+          if (::testing::Test::HasFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelProperty, SparseAGemmCoversEveryTransposeAndBeta) {
+  // The training shapes: one-hot support 64x280x300 and the X^T A trace
+  // product 280x300x64, in all transpose and beta combinations.
+  su::Rng rng(2024);
+  const st::MatrixF x = code_matrix(64, 280, Code::kOneHot, 0.0, rng);
+  const st::MatrixF w = random_dense(280, 300, rng);
+  const st::MatrixF act = random_dense(64, 300, rng);
+  const st::MatrixF s0 = random_dense(64, 300, rng);
+  const st::MatrixF pij0 = random_dense(280, 300, rng);
+  for (const st::Transpose ta : {st::Transpose::kNo, st::Transpose::kYes}) {
+    for (const st::Transpose tb : {st::Transpose::kNo, st::Transpose::kYes}) {
+      for (const float beta : {0.0f, 1.0f, 0.999f}) {
+        expect_sparse_matches_dense(x, w, s0, {ta, tb, 1.0f, beta},
+                                    "support");
+        expect_sparse_matches_dense(transposed(x), act, pij0,
+                                    {ta, tb, 0.001f / 64.0f, beta}, "trace");
+      }
+    }
+  }
+}
+
+TEST(KernelProperty, SparseAGemmFallsBackToDenseOnNonFiniteB) {
+  // 0 * NaN and 0 * Inf are NaN in the dense sweep: a skipped zero would
+  // hide them, so gemm() must run the dense schedule here.
+  for (const float poison : {std::numeric_limits<float>::quiet_NaN(),
+                             std::numeric_limits<float>::infinity()}) {
+    su::Rng rng(99);
+    const st::MatrixF a = code_matrix(64, 280, Code::kOneHot, 0.0, rng);
+    st::MatrixF b = random_dense(280, 300, rng);
+    b(137, 42) = poison;
+    const st::MatrixF c0 = random_dense(64, 300, rng);
+    expect_sparse_matches_dense(
+        a, b, c0, {st::Transpose::kNo, st::Transpose::kNo, 1.0f, 1.0f},
+        "poison=" + std::to_string(poison), /*finite_b=*/false);
+    // Rows whose code skips column 137 still see 0 * poison = NaN.
+    st::MatrixF c = c0;
+    st::gemm(st::Transpose::kNo, st::Transpose::kNo, 1.0f, a, b, 1.0f, c);
+    for (std::size_t i = 0; i < c.rows(); ++i) {
+      if (a(i, 137) == 0.0f) {
+        EXPECT_TRUE(std::isnan(c(i, 42))) << "row " << i;
+      } else {
+        EXPECT_FALSE(std::isfinite(c(i, 42))) << "row " << i;
+      }
+    }
+  }
+}
+
+TEST(KernelProperty, SparseAGemmKeepsTheDenseSignOfZero) {
+  // The dense sweep adds the skipped (alpha * +0) * b terms; on a -0.0
+  // running sum a +0.0 term flips it to +0.0. Build exactly that: C is
+  // all -0.0 with beta = 1, B has all-zero columns that are +0.0 except a
+  // few -0.0 entries, and alpha < 0 makes every product's sign the
+  // opposite of b's. The dense result is then +0.0 in every such column;
+  // skipping zeros alone would leave -0.0 wherever the row's stored
+  // entries miss the column's -0.0 entries.
+  su::Rng rng(7);
+  const std::size_t m = 64;
+  const std::size_t k = 280;
+  const std::size_t n = 300;
+  const st::MatrixF a = code_matrix(m, k, Code::kOneHot, 0.0, rng);
+  st::MatrixF b = random_dense(k, n, rng);
+  for (std::size_t j = 0; j < n; j += 3) {
+    for (std::size_t p = 0; p < k; ++p) b(p, j) = 0.0f;
+    for (int flips = 0; flips < 2; ++flips) b(rng.uniform_index(k), j) = -0.0f;
+  }
+  const st::MatrixF c0(m, n, -0.0f);
+  const SparseCase sc{st::Transpose::kNo, st::Transpose::kNo, -1.5f, 1.0f};
+  expect_sparse_matches_dense(a, b, c0, sc, "negative zero");
+
+  // The case above must actually occur: some dense result is +0.0 that a
+  // plain skip over the stored entries would have left at -0.0.
+  st::MatrixF dense = c0;
+  st::detail::gemm_dense(sc.trans_a, sc.trans_b, sc.alpha, a, b, sc.beta,
+                         dense);
+  std::size_t flipped = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; j += 3) {
+      bool stored_hits_negative = false;
+      for (std::size_t p = 0; p < k; ++p) {
+        stored_hits_negative |= a(i, p) != 0.0f && std::signbit(b(p, j));
+      }
+      if (!stored_hits_negative && !std::signbit(dense(i, j))) ++flipped;
+    }
+  }
+  EXPECT_GT(flipped, 0u);
 }

@@ -297,6 +297,15 @@ TEST(Kernels, WtaBlocksPicksWinner) {
   EXPECT_FLOAT_EQ(m(0, 4), 0.0f);
 }
 
+TEST(Kernels, WtaBlocksRejectsBadBlock) {
+  st::MatrixF m(1, 5, 0.0f);
+  EXPECT_THROW(st::wta_blocks(m, 2), std::invalid_argument);
+  EXPECT_THROW(st::wta_blocks(m, 0), std::invalid_argument);
+  st::MatrixF empty(3, 0, 0.0f);
+  EXPECT_THROW(st::wta_blocks(empty, 0), std::invalid_argument);
+  EXPECT_NO_THROW(st::wta_blocks(empty, 4));
+}
+
 TEST(Kernels, ArgmaxRows) {
   st::MatrixF m(2, 3, {0.0f, 5.0f, 1.0f, 7.0f, 2.0f, 3.0f});
   std::size_t out[2] = {99, 99};

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <set>
+#include <vector>
 
+#include "parallel/parallel_for.hpp"
 #include "util/cli.hpp"
 #include "util/config.hpp"
 #include "util/rng.hpp"
@@ -403,4 +408,49 @@ TEST(Stopwatch, PauseStopsAccumulation) {
   for (int i = 0; i < 100000; ++i) sink = sink + std::sqrt(static_cast<double>(i));
   EXPECT_GT(watch.seconds(), at_pause);
   (void)sink;
+}
+
+TEST(Rng, FillNormalMatchesSuccessiveNormalCalls) {
+  // Blocks in reverse order on the pool: the split must not matter.
+  const su::Rng::BlockRunner pool_runner =
+      [](std::size_t pairs,
+         const std::function<void(std::size_t, std::size_t)>& body) {
+        streambrain::parallel::for_blocks(pairs, 64, body);
+      };
+  const su::Rng::BlockRunner reversed_runner =
+      [](std::size_t pairs,
+         const std::function<void(std::size_t, std::size_t)>& body) {
+        for (std::size_t hi = pairs; hi > 0;) {
+          const std::size_t lo = hi >= 5 ? hi - 5 : 0;
+          body(lo, hi);
+          hi = lo;
+        }
+      };
+  for (const bool cached_at_entry : {false, true}) {
+    for (const std::size_t n : {0UL, 1UL, 2UL, 7UL, 19200UL}) {
+      for (const auto* runner : {&pool_runner, &reversed_runner}) {
+        su::Rng serial(31 + n);
+        su::Rng batched(31 + n);
+        if (cached_at_entry) {
+          // One call leaves the pair's second value cached.
+          ASSERT_EQ(serial.normal(), batched.normal());
+        }
+        std::vector<double> expected(n);
+        for (double& v : expected) v = serial.normal(0.25, 1.5);
+        std::vector<double> got(n, -1.0);
+        batched.fill_normal(0.25, 1.5, got.data(), n, *runner);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(expected[i]),
+                    std::bit_cast<std::uint64_t>(got[i]))
+              << "n=" << n << " i=" << i << " cached=" << cached_at_entry;
+        }
+        // The generator and its cached value end in the same place.
+        for (int after = 0; after < 3; ++after) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(serial.normal()),
+                    std::bit_cast<std::uint64_t>(batched.normal()))
+              << "n=" << n << " call " << after << " after the batch";
+        }
+      }
+    }
+  }
 }
