@@ -1,5 +1,6 @@
 #include "core/layer.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <stdexcept>
@@ -120,9 +121,14 @@ void BcpnnLayer::apply_masks() {
   const std::size_t bins = config_.input_bins;
   const std::size_t mcus = config_.mcus;
   const std::size_t inputs = config_.input_hypercolumns;
-  constexpr std::size_t kMinPairsPerBlock = 32;  // (hcu, input) pairs
+  // (hcu, input) pairs per fan-out block: at least kMinWeightsPerBlock
+  // weights, like the engine's weight recomputation, so a layer the size
+  // of the paper's runs inline on every training batch.
+  constexpr std::size_t kMinWeightsPerBlock = std::size_t{1} << 17;
+  const std::size_t min_pairs = (kMinWeightsPerBlock + bins * mcus - 1) /
+                                std::max<std::size_t>(1, bins * mcus);
   parallel::for_blocks(
-      config_.hcus * inputs, kMinPairsPerBlock,
+      config_.hcus * inputs, min_pairs,
       [&](std::size_t p0, std::size_t p1) {
         for (std::size_t p = p0; p < p1; ++p) {
           const std::size_t h = p / inputs;

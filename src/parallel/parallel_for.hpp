@@ -15,10 +15,13 @@ namespace streambrain::parallel {
 /// serial runs.
 std::size_t max_compute_tasks();
 
-/// Invoke body(lo, hi) on contiguous blocks covering [0, n), at most
-/// min(pool size, max_compute_tasks(), n / min_per_task) of them. Blocks
-/// after the first go to global_pool(); the caller runs the first and then
-/// waits for the rest. Runs body(0, n) inline when one block remains or
+/// Invoke body(lo, hi) on contiguous blocks covering [0, n), on at most
+/// min(pool size, max_compute_tasks(), n / min_per_task) threads: the
+/// caller and tasks on global_pool(). There are at most four blocks per
+/// thread and at most n / min_per_task blocks; each thread claims the
+/// next unclaimed block until none is left, so the caller runs every block
+/// that no worker has started and waits only for blocks already running.
+/// Runs body(0, n) inline when one block remains or
 /// when already on a pool worker (nested fan-out could deadlock a
 /// single-worker pool). An exception from any block reaches the caller
 /// after every block has finished. Bodies must write disjoint outputs, so

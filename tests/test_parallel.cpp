@@ -6,10 +6,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <future>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "parallel/engine_registry.hpp"
 #include "parallel/parallel_for.hpp"
@@ -88,6 +92,42 @@ TEST(ForBlocks, ExceptionFromALaterBlockReachesTheCaller) {
                               }),
                std::runtime_error);
   EXPECT_GE(blocks.load(), 2);
+}
+
+TEST(ForBlocks, CallerRunsTheBlocksNoWorkerHasStarted) {
+  sp::ThreadPool& pool = sp::global_pool();
+  pool.grow(2);
+  if (std::min(pool.size(), sp::max_compute_tasks()) < 2) {
+    GTEST_SKIP() << "compute fan-out is pinned to one task";
+  }
+  // Hold every worker, as a busy host might, until for_blocks is done.
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::atomic<std::size_t> holding{0};
+  const std::size_t workers = pool.size();
+  for (std::size_t w = 0; w < workers; ++w) {
+    pool.post([&holding, released] {
+      ++holding;
+      released.wait_for(std::chrono::seconds(30));
+    });
+  }
+  while (holding.load() < workers) std::this_thread::yield();
+
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> all_on_caller{true};
+  std::vector<int> hits(321, 0);
+  const auto start = std::chrono::steady_clock::now();
+  sp::for_blocks(hits.size(), 4, [&](std::size_t lo, std::size_t hi) {
+    if (std::this_thread::get_id() != caller) all_on_caller = false;
+    for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+  });
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  release.set_value();
+  pool.wait_idle();
+
+  EXPECT_TRUE(all_on_caller.load());
+  EXPECT_LT(elapsed, std::chrono::seconds(10));
+  for (const int hit : hits) EXPECT_EQ(hit, 1);
 }
 
 TEST(ForBlocks, RunsAsOneInlineBlockOnAPoolWorker) {
