@@ -1,12 +1,13 @@
 // Benchmarks Section II-B's scaling claim: BCPNN's local learning makes
-// data-parallel training communication-light — one statistics reduction
+// data-parallel training communication-light — one statistics exchange
 // per batch is ALL the traffic, with no gradient exchange and no backward
 // pass. This harness trains the same full model (hidden BCPNN layer +
 // supervised head) through core::DistributedTrainer on 1, 2, 4 and 8
 // simulated ranks, under both allreduce algorithms (flat rank-ordered vs
-// bandwidth-optimal chunked ring), reports communication volume per epoch
-// and speedup, verifies the learned model quality, and emits
-// BENCH_scaling.json.
+// bandwidth-optimal chunked ring; they differ only with --cadence >= 2,
+// the exact mode allgathers), reports communication volume per epoch,
+// speedup and rank 0's compute / pack / exchange split, verifies the
+// learned model quality, and emits BENCH_scaling.json.
 //
 //   bench_scaling [--out BENCH_scaling.json] [--events 2000] [--mcus 60]
 //                 [--epochs 5] [--head-epochs 8] [--cadence 1]
@@ -34,6 +35,9 @@ struct Result {
   std::uint64_t total_wire_bytes = 0;
   double mb_per_rank_per_epoch = 0.0;
   std::size_t syncs = 0;
+  double compute_s = 0.0;
+  double pack_s = 0.0;
+  double exchange_s = 0.0;
   double accuracy = 0.0;
 };
 
@@ -111,18 +115,24 @@ int main(int argc, char** argv) {
         static_cast<double>(report.bytes_per_rank) / 1e6 /
         static_cast<double>(epochs + head_epochs);
     result.syncs = report.sync_count;
+    result.compute_s = report.compute_s;
+    result.pack_s = report.pack_s;
+    result.exchange_s = report.exchange_s;
     result.accuracy = model.evaluate(x_test, test.labels);
     results.push_back(result);
     return result;
   };
 
   util::Table table({"backend", "algorithm", "ranks", "train time (s)",
-                     "speedup", "reductions", "MB/rank/epoch", "wire MB/rank",
-                     "test acc"});
+                     "compute/pack/exchange (s)", "speedup", "exchanges",
+                     "MB/rank/epoch", "wire MB/rank", "test acc"});
   const auto add_row = [&table](const Result& result) {
     table.add_row({result.backend, result.algorithm,
                    std::to_string(result.ranks),
                    util::Table::num(result.seconds),
+                   util::Table::num(result.compute_s) + " / " +
+                       util::Table::num(result.pack_s) + " / " +
+                       util::Table::num(result.exchange_s),
                    util::Table::num(result.speedup_vs_1rank),
                    std::to_string(result.syncs),
                    util::Table::num(result.mb_per_rank_per_epoch, 2),
@@ -133,22 +143,24 @@ int main(int argc, char** argv) {
   };
 
   // Algorithm sweep over the in-process substrate (the schedule study).
+  double seconds_1rank = 0.0;
   for (const auto algorithm : {comm::AllreduceAlgorithm::kFlat,
                                comm::AllreduceAlgorithm::kRing}) {
-    double seconds_1rank = 0.0;
     for (const int ranks : {1, 2, 4, 8}) {
       const Result result = run_case(comm::Backend::kInProcess, algorithm,
-                                     ranks, seconds_1rank);
+                                     ranks, ranks == 1 ? 0.0 : seconds_1rank);
       if (ranks == 1) seconds_1rank = result.seconds;
       add_row(result);
     }
   }
 
   // Backend sweep: identical schedule and logical bytes, real wire cost
-  // (shm segment / TCP loopback frames) on top.
+  // (shm segment / TCP loopback frames) on top. Speedups are against the
+  // 1-rank in-process ring row, which runs no transport at all.
   for (const auto backend : {comm::Backend::kShm, comm::Backend::kTcp}) {
     for (const int ranks : {2, 4}) {
-      add_row(run_case(backend, comm::AllreduceAlgorithm::kRing, ranks, 0.0));
+      add_row(run_case(backend, comm::AllreduceAlgorithm::kRing, ranks,
+                       seconds_1rank));
     }
   }
   table.print();
@@ -174,22 +186,26 @@ int main(int argc, char** argv) {
         << ", \"wire_bytes_per_rank\": " << r.wire_bytes_per_rank
         << ", \"total_wire_bytes\": " << r.total_wire_bytes
         << ", \"mb_per_rank_per_epoch\": " << r.mb_per_rank_per_epoch
-        << ", \"syncs\": " << r.syncs << ", \"accuracy\": " << r.accuracy
+        << ", \"syncs\": " << r.syncs << ", \"compute_s\": " << r.compute_s
+        << ", \"pack_s\": " << r.pack_s << ", \"exchange_s\": " << r.exchange_s
+        << ", \"accuracy\": " << r.accuracy
         << "}" << (i + 1 < results.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
 
   std::printf(
       "\nshape check vs paper (Section II-B): communication is one\n"
-      "statistics reduction per batch — no gradient exchange, no backward\n"
+      "statistics exchange per batch — no gradient exchange, no backward\n"
       "pass. Training is bit-identical at every rank count (cadence 1), so\n"
-      "the accuracy column is constant by construction; the ring algorithm\n"
-      "moves 2*(P-1)/P*n bytes per rank vs the flat path's (P-1)*n. Note\n"
-      "the exact mode's payload is virtual_shards (default 8) x the trace\n"
-      "block — the zero padding that buys reproducibility; --cadence k >= 2\n"
-      "drops to one trace-sized average per k batches. The backend rows\n"
-      "train the SAME bits over a real shm segment / TCP loopback mesh;\n"
-      "wire MB/rank adds the frame headers the logical model omits.\n");
+      "the accuracy column is constant by construction. The exact mode\n"
+      "allgathers each rank's own shards: with S = virtual_shards (default\n"
+      "8), P ranks and a statistics block of B floats, a rank sends\n"
+      "(P-1) * ceil(S/P) * B * 4 bytes per batch, whatever the algorithm.\n"
+      "--cadence k >= 2 drops to one B-sized average per k batches, where\n"
+      "the ring algorithm moves 2*(P-1)/P*n bytes per rank vs the flat\n"
+      "path's (P-1)*n. The backend rows train the SAME bits over a real shm\n"
+      "segment / TCP loopback mesh; wire MB/rank adds the frame headers\n"
+      "the logical model omits.\n");
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
 }

@@ -2,9 +2,9 @@
 // the usage pattern of StreamBrain's MPI backend, extended to the whole
 // Estimator surface. core::DistributedTrainer shards every batch across
 // ranks, synchronizes the hidden traces AND the supervised head with one
-// reduction per batch, and (with the default sync_cadence of 1) produces
-// a model that is bit-identical to single-rank training — on every
-// backend.
+// exchange of batch statistics per batch, and (with the default
+// sync_cadence of 1) produces a model that is bit-identical to
+// single-rank training — on every backend.
 //
 // Two launch modes:
 //  * single process (default): fit_distributed() runs `--ranks` rank
@@ -19,7 +19,7 @@
 // The schedule is Model::fit's — annealed noise, per-epoch plasticity,
 // the prune cadence, then the head — so a model configured for serial
 // training trains the same way here; only the batch statistics are
-// reduced across ranks.
+// exchanged across ranks.
 //
 // Usage:
 //   example_distributed_training [--ranks 4] [--events 2400] [--mcus 80]
@@ -56,6 +56,13 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.get_int("cadence", 1));
   const bool ring = args.has("ring");
   const bool multi_process = comm::env_world_configured();
+  // The exact mode allgathers shard statistics; --ring only changes the
+  // cadence mode's parameter-averaging allreduce.
+  const std::string exchange =
+      cadence <= 1 ? std::string("per-batch allgather")
+                   : std::string(ring ? "ring" : "flat") +
+                         " allreduce every " + std::to_string(cadence) +
+                         " batches";
 
   // Shared data; the trainer shards each batch across the ranks. In the
   // multi-process mode every process builds the identical dataset and
@@ -97,9 +104,9 @@ int main(int argc, char** argv) {
       std::printf(
           "=== Distributed BCPNN training (%d processes, %s transport) ===\n\n",
           comm.size(), comm::backend_name(comm.backend()));
-      std::printf("training %s on %zu events across %d ranks (%s allreduce)...\n",
+      std::printf("training %s on %zu events across %d ranks (%s)...\n",
                   model.name().c_str(), train.size(), comm.size(),
-                  comm::algorithm_name(options.algorithm));
+                  exchange.c_str());
     }
     util::Stopwatch watch;
     core::DistributedTrainer trainer(options);
@@ -107,7 +114,7 @@ int main(int argc, char** argv) {
         trainer.fit_rank(comm, model, x_train, train.labels);
     if (comm.rank() == 0) {
       std::printf("  wall time            : %.2f s\n", watch.seconds());
-      std::printf("  reductions           : %zu (one per batch)\n", sync_count);
+      std::printf("  exchanges            : %zu\n", sync_count);
       std::printf("  logical traffic/rank : %.1f MB\n",
                   static_cast<double>(comm.bytes_sent()) / 1e6);
       std::printf("  wire traffic/rank    : %.1f MB\n",
@@ -126,13 +133,16 @@ int main(int argc, char** argv) {
   std::printf(
       "=== Distributed BCPNN training (%d ranks, %s transport) ===\n\n",
       ranks, comm::backend_name(options.backend));
-  std::printf("training %s on %zu events across %d ranks (%s allreduce)...\n",
-              model.name().c_str(), train.size(), ranks,
-              comm::algorithm_name(options.algorithm));
+  std::printf("training %s on %zu events across %d ranks (%s)...\n",
+              model.name().c_str(), train.size(), ranks, exchange.c_str());
   const auto report = core::fit_distributed(model, x_train, train.labels,
                                             options);
   std::printf("  wall time            : %.2f s\n", report.seconds);
-  std::printf("  reductions           : %zu (one per batch — ALL the traffic)\n",
+  std::printf("    compute (rank 0)   : %.2f s\n", report.compute_s);
+  std::printf("    pack (rank 0)      : %.2f s\n", report.pack_s);
+  std::printf("    exchange (rank 0)  : %.2f s (collective, wait, combine)\n",
+              report.exchange_s);
+  std::printf("  exchanges            : %zu (ALL the traffic)\n",
               report.sync_count);
   std::printf("  logical traffic/rank : %.1f MB\n",
               static_cast<double>(report.bytes_per_rank) / 1e6);
@@ -149,8 +159,8 @@ int main(int argc, char** argv) {
               100.0 * auc);
   std::printf(
       "\nwhy this scales (paper Section II-B): learning is local, so ranks\n"
-      "never exchange gradients or activations — only per-batch statistics\n"
-      "with a deterministic reduction. With sync_cadence 1 the trained\n"
+      "never exchange gradients or activations — only per-batch statistics,\n"
+      "added up in a fixed order. With sync_cadence 1 the trained\n"
       "model is bit-identical at ANY rank count AND any backend; try\n"
       "--ranks 1, --backend shm, or sb_launch -n 4 and compare.\n");
   return 0;

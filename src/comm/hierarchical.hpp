@@ -8,9 +8,9 @@
 //
 // Exactness: the hierarchical sum associates (intra-host first, then
 // across hosts), which differs from a global flat reduction by floating-
-// point rounding in general — but is exact for min/max and for the
-// zero-padded disjoint-shard payloads DistributedTrainer reduces, the
-// same argument that makes its results rank-count invariant.
+// point rounding in general — but is exact for min/max and for
+// zero-padded payloads whose ranks fill disjoint slots, since every
+// addition is then x + 0.
 
 #include <cstddef>
 #include <functional>

@@ -43,7 +43,8 @@ util::Rng shard_noise_rng(std::uint64_t stream, std::size_t epoch,
 }
 
 /// The rows of one global batch, split round-robin over the fixed virtual
-/// shards; only the shards owned by this rank are materialized.
+/// shards; only the shards owned by this rank are materialized. Rank r
+/// owns shards r, r + P, r + 2P, ... of a P-rank world.
 struct BatchShards {
   std::vector<tensor::MatrixF> x;            // per shard, owned only
   std::vector<tensor::MatrixF> t;            // optional targets, owned only
@@ -51,10 +52,6 @@ struct BatchShards {
   std::size_t batch_rows = 0;
   std::size_t local_rows = 0;
 };
-
-bool owns_shard(std::size_t shard, int rank, int world) noexcept {
-  return static_cast<int>(shard % static_cast<std::size_t>(world)) == rank;
-}
 
 /// Gather the rows of batch positions [start, end) of `order` into the
 /// per-shard matrices (position i -> shard (i - start) % shards).
@@ -70,8 +67,8 @@ void pack_batch(const tensor::MatrixF& src_x, const tensor::MatrixF* src_t,
   for (std::size_t i = start; i < end; ++i) {
     ++out.rows_per_shard[(i - start) % shards];
   }
-  for (std::size_t v = 0; v < shards; ++v) {
-    if (!owns_shard(v, rank, world)) continue;
+  for (std::size_t v = static_cast<std::size_t>(rank); v < shards;
+       v += static_cast<std::size_t>(world)) {
     const std::size_t rows = out.rows_per_shard[v];
     out.local_rows += rows;
     out.x[v].resize(rows, src_x.cols());
@@ -87,58 +84,64 @@ void pack_batch(const tensor::MatrixF& src_x, const tensor::MatrixF* src_t,
   }
 }
 
-/// Zero-padded per-shard statistics buffer + the fixed-order combine.
-/// Each shard's statistics live in a disjoint slot, so the allreduce adds
-/// x + 0 everywhere — exact for both algorithms — and the subsequent
-/// left-to-right combine over shards is identical on every rank.
-struct LeafExchange {
+/// Per-shard statistics of one phase and their fixed-order combine. The
+/// statistics of this rank's k-th owned shard (shard rank + k * world)
+/// live in slot k of `own`, ceil(shards / world) slots long; a rank
+/// owning fewer shards leaves its last slot unused. One allgather
+/// concatenates every rank's slots in rank order, so shard v arrives in
+/// slot (v % world) * slots_per_rank + v / world of `gathered`, and every
+/// rank adds the shards up left to right in shard order.
+struct ShardExchange {
   std::size_t shards = 0;
   std::size_t block = 0;
-  std::vector<float> buffer;  // shards * block
-  std::vector<float> total;   // block
+  std::size_t rank = 0;
+  std::size_t world = 1;
+  std::size_t slots_per_rank = 0;
+  std::vector<float> own;       // slots_per_rank * block
+  std::vector<float> gathered;  // world * slots_per_rank * block
+  std::vector<float> total;     // block
 
-  void configure(std::size_t shard_count, std::size_t block_size) {
+  void configure(std::size_t shard_count, std::size_t block_size,
+                 int rank_id, int world_size) {
     shards = shard_count;
     block = block_size;
-    buffer.assign(shards * block, 0.0f);
+    rank = static_cast<std::size_t>(rank_id);
+    world = static_cast<std::size_t>(world_size);
+    slots_per_rank = (shards + world - 1) / world;
+    own.assign(slots_per_rank * block, 0.0f);
     total.assign(block, 0.0f);
   }
 
-  void reset() { std::fill(buffer.begin(), buffer.end(), 0.0f); }
-
+  /// This rank's slot for an owned `shard`.
   [[nodiscard]] float* slot(std::size_t shard) noexcept {
-    return buffer.data() + shard * block;
+    return own.data() + (shard / world) * block;
   }
 
-  /// allreduce the padded buffer, then combine shards in fixed order.
-  /// `overlap_work` runs between issuing the nonblocking reduction and
-  /// waiting on it (compute/communication overlap).
-  void exchange(comm::Communicator& comm, comm::AllreduceAlgorithm algorithm,
-                const std::function<void()>& overlap_work) {
-    comm::Request request = comm.iallreduce(buffer.data(), buffer.size(),
-                                            comm::ReduceOp::kSum, algorithm);
-    if (overlap_work) overlap_work();
-    request.wait();
-    combine_all();
-  }
-
-  /// Combine every shard's slot (after an exchange).
-  void combine_all() {
+  /// Exchange every rank's owned slots, then combine all shards in fixed
+  /// order. A single rank owns every shard in order already.
+  void exchange(comm::Communicator& comm) {
+    const float* shard_slots = own.data();
+    if (world > 1) {
+      gathered.resize(world * own.size());  // allocates on the first batch
+      comm.allgather(own.data(), own.size(), gathered.data());
+      shard_slots = gathered.data();
+    }
     std::fill(total.begin(), total.end(), 0.0f);
     for (std::size_t v = 0; v < shards; ++v) {
-      const float* part = slot(v);
-      for (std::size_t i = 0; i < block; ++i) total[i] += part[i];
+      add_to_total(shard_slots +
+                   ((v % world) * slots_per_rank + v / world) * block);
     }
   }
 
   /// Combine only the shards this rank owns (approximate mode).
-  void combine_owned(int rank, int world) {
+  void combine_owned() {
     std::fill(total.begin(), total.end(), 0.0f);
-    for (std::size_t v = 0; v < shards; ++v) {
-      if (!owns_shard(v, rank, world)) continue;
-      const float* part = slot(v);
-      for (std::size_t i = 0; i < block; ++i) total[i] += part[i];
-    }
+    for (std::size_t v = rank; v < shards; v += world) add_to_total(slot(v));
+  }
+
+ private:
+  void add_to_total(const float* part) noexcept {
+    for (std::size_t i = 0; i < block; ++i) total[i] += part[i];
   }
 };
 
@@ -215,8 +218,8 @@ struct ShardId {
 };
 
 /// One synchronized training phase. run_sync_phase owns the data
-/// decomposition, the exchange and its overlap, the exact/cadence
-/// branches and the sync count; a phase supplies only these four steps.
+/// decomposition, the exchange, the exact/cadence branches and the
+/// ledger; a phase supplies only these four steps.
 struct SyncPhase {
   std::size_t epochs = 0;
   std::size_t batch_size = 0;
@@ -237,19 +240,36 @@ struct SyncPhase {
   std::function<void(std::size_t epoch)> end_epoch;
 };
 
+/// Rank-local account of a training run: exchanges issued and where the
+/// phase loops spent their wall time.
+struct RankLedger {
+  std::size_t syncs = 0;
+  double compute_s = 0.0;   ///< shard statistics, updates, epoch ends
+  double pack_s = 0.0;      ///< gathering shard rows
+  double exchange_s = 0.0;  ///< collectives, waiting for peers, combines
+};
+
+/// Run `step` and add its wall time to `seconds`.
+template <typename Step>
+void timed(double& seconds, Step&& step) {
+  const util::Stopwatch watch;
+  step();
+  seconds += watch.seconds();
+}
+
 /// One full phase (all epochs) over `x` with optional supervised targets.
 /// This is the core of the data-parallel trainer.
 void run_sync_phase(comm::Communicator& comm, const DistributedOptions& opts,
                     const SyncPhase& phase, const tensor::MatrixF& x,
-                    const tensor::MatrixF* targets, std::size_t& sync_count) {
+                    const tensor::MatrixF* targets, RankLedger& ledger) {
   const int rank = comm.rank();
   const int world = comm.size();
   const std::size_t n = x.rows();
   const std::size_t shards = static_cast<std::size_t>(opts.virtual_shards);
   const bool exact = opts.sync_cadence <= 1;
 
-  LeafExchange exchange;
-  exchange.configure(shards, phase.block);
+  ShardExchange exchange;
+  exchange.configure(shards, phase.block, rank, world);
 
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
@@ -260,53 +280,65 @@ void run_sync_phase(comm::Communicator& comm, const DistributedOptions& opts,
   const std::size_t batches = (n + phase.batch_size - 1) / phase.batch_size;
   for (std::size_t epoch = 0; epoch < phase.epochs; ++epoch) {
     order_rng.shuffle(order);
-    pack_batch(x, targets, order, 0, std::min(phase.batch_size, n), shards,
-               rank, world, current);
+    timed(ledger.pack_s, [&] {
+      pack_batch(x, targets, order, 0, std::min(phase.batch_size, n), shards,
+                 rank, world, current);
+    });
     for (std::size_t b = 0; b < batches; ++b) {
       const std::size_t next_start = (b + 1) * phase.batch_size;
-      exchange.reset();
-      for (std::size_t v = 0; v < shards; ++v) {
-        if (!owns_shard(v, rank, world) || current.rows_per_shard[v] == 0) {
-          continue;
+      timed(ledger.compute_s, [&] {
+        for (std::size_t v = static_cast<std::size_t>(rank); v < shards;
+             v += static_cast<std::size_t>(world)) {
+          float* slot = exchange.slot(v);
+          if (current.rows_per_shard[v] == 0) {
+            // A short last batch leaves this shard empty.
+            std::fill_n(slot, phase.block, 0.0f);
+            continue;
+          }
+          phase.shard_stats(current.x[v],
+                            targets != nullptr ? &current.t[v] : nullptr,
+                            {epoch, b, v}, slot);
         }
-        phase.shard_stats(current.x[v],
-                          targets != nullptr ? &current.t[v] : nullptr,
-                          {epoch, b, v}, exchange.slot(v));
-      }
+      });
 
       const auto pack_next = [&] {
-        if (next_start < n) {
+        if (next_start >= n) return;
+        timed(ledger.pack_s, [&] {
           pack_batch(x, targets, order, next_start,
                      std::min(next_start + phase.batch_size, n), shards, rank,
                      world, next);
-        }
+        });
       };
 
       if (exact) {
-        // One reduction per batch; packing the next batch's shard rows
-        // overlaps the (logical) network transfer.
-        exchange.exchange(comm, opts.algorithm,
-                          opts.overlap ? std::function<void()>(pack_next)
-                                       : std::function<void()>{});
+        // One exchange of the owned shards' statistics per batch.
+        if (opts.overlap) pack_next();
+        timed(ledger.exchange_s, [&] { exchange.exchange(comm); });
         if (!opts.overlap) pack_next();
-        phase.apply(exchange.total.data(), current.batch_rows);
-        ++sync_count;
+        timed(ledger.compute_s, [&] {
+          phase.apply(exchange.total.data(), current.batch_rows);
+        });
+        ++ledger.syncs;
       } else {
         // Approximate mode: local update now, parameter averaging on
         // cadence (and always at the last batch of the epoch).
-        exchange.combine_owned(rank, world);
+        timed(ledger.exchange_s, [&] { exchange.combine_owned(); });
         if (current.local_rows > 0) {
-          phase.apply(exchange.total.data(), current.local_rows);
+          timed(ledger.compute_s, [&] {
+            phase.apply(exchange.total.data(), current.local_rows);
+          });
         }
         pack_next();
         if ((b + 1) % opts.sync_cadence == 0 || b + 1 == batches) {
-          phase.average(comm);
-          ++sync_count;
+          timed(ledger.exchange_s, [&] { phase.average(comm); });
+          ++ledger.syncs;
         }
       }
       std::swap(current, next);
     }
-    if (phase.end_epoch) phase.end_epoch(epoch);
+    if (phase.end_epoch) {
+      timed(ledger.compute_s, [&] { phase.end_epoch(epoch); });
+    }
   }
 }
 
@@ -344,7 +376,7 @@ void run_unsupervised_phase(comm::Communicator& comm,
                             const DistributedOptions& opts,
                             parallel::Engine& engine, BcpnnLayer& layer,
                             const tensor::MatrixF& x, std::uint64_t stream,
-                            std::size_t& sync_count) {
+                            RankLedger& ledger) {
   const BcpnnConfig& cfg = layer.config();
   SyncPhase phase = trace_phase(
       layer.mutable_traces(), [&layer] { layer.recompute_weights(); },
@@ -372,7 +404,7 @@ void run_unsupervised_phase(comm::Communicator& comm,
   phase.end_epoch = [&layer](std::size_t epoch) {
     end_hidden_epoch(layer, epoch);
   };
-  run_sync_phase(comm, opts, phase, x, nullptr, sync_count);
+  run_sync_phase(comm, opts, phase, x, nullptr, ledger);
 }
 
 /// Supervised BCPNN head phase (shallow kBcpnn head and deep heads).
@@ -382,7 +414,7 @@ void run_bcpnn_head_phase(comm::Communicator& comm,
                           const tensor::MatrixF& targets, std::size_t epochs,
                           std::size_t batch_size, std::uint64_t stream,
                           const std::function<void(std::size_t)>& end_epoch,
-                          std::size_t& sync_count) {
+                          RankLedger& ledger) {
   SyncPhase phase = trace_phase(
       head.mutable_traces(), [&head] { head.recompute_weights(); },
       head.alpha(), hidden.cols(), targets.cols(), opts.algorithm);
@@ -396,7 +428,7 @@ void run_bcpnn_head_phase(comm::Communicator& comm,
     accumulate_trace_stats(shard_x, *shard_t, pij_scratch, slot);
   };
   phase.end_epoch = end_epoch;
-  run_sync_phase(comm, opts, phase, hidden, &targets, sync_count);
+  run_sync_phase(comm, opts, phase, hidden, &targets, ledger);
 }
 
 /// SGD head phase: the statistics are the un-normalized gradient X^T (p - t)
@@ -408,7 +440,7 @@ void run_sgd_head_phase(comm::Communicator& comm,
                         const tensor::MatrixF& targets, std::size_t epochs,
                         std::size_t batch_size, std::uint64_t stream,
                         const std::function<void(std::size_t)>& end_epoch,
-                        std::size_t& sync_count) {
+                        RankLedger& ledger) {
   const std::size_t n_feat = hidden.cols();
   const std::size_t classes = targets.cols();
   const std::size_t n_weights = n_feat * classes;
@@ -459,19 +491,19 @@ void run_sgd_head_phase(comm::Communicator& comm,
     head.end_epoch();
     end_epoch(epoch);
   };
-  run_sync_phase(comm, opts, phase, hidden, &targets, sync_count);
+  run_sync_phase(comm, opts, phase, hidden, &targets, ledger);
 }
 
 // --- Replica plumbing ------------------------------------------------------
 
 void train_replica(comm::Communicator& comm, const DistributedOptions& opts,
                    Model& replica, const tensor::MatrixF& x,
-                   const std::vector<int>& labels, std::size_t& sync_count) {
+                   const std::vector<int>& labels, RankLedger& ledger) {
   if (replica.hidden_specs().size() == 1) {
     Network& net = replica.network();
     const BcpnnConfig& cfg = net.config().bcpnn;
     run_unsupervised_phase(comm, opts, net.engine(), net.mutable_hidden(), x,
-                           /*stream=*/1, sync_count);
+                           /*stream=*/1, ledger);
 
     tensor::MatrixF hidden;
     net.mutable_hidden().forward(x, hidden);  // replicated, deterministic
@@ -485,7 +517,7 @@ void train_replica(comm::Communicator& comm, const DistributedOptions& opts,
           [head, &cfg](std::size_t epoch) {
             prune_on_cadence(*head, cfg, epoch);
           },
-          sync_count);
+          ledger);
     } else {
       BcpnnClassifier* bcpnn = net.bcpnn_head();
       run_bcpnn_head_phase(
@@ -494,7 +526,7 @@ void train_replica(comm::Communicator& comm, const DistributedOptions& opts,
           [bcpnn, &cfg](std::size_t epoch) {
             prune_on_cadence(*bcpnn, cfg, epoch);
           },
-          sync_count);
+          ledger);
     }
   } else {
     DeepBcpnn& deep = replica.deep();
@@ -502,7 +534,7 @@ void train_replica(comm::Communicator& comm, const DistributedOptions& opts,
     tensor::MatrixF current = x;
     for (std::size_t l = 0; l < deep.depth(); ++l) {
       run_unsupervised_phase(comm, opts, deep.engine(), deep.mutable_layer(l),
-                             current, /*stream=*/16 + l, sync_count);
+                             current, /*stream=*/16 + l, ledger);
       tensor::MatrixF next;
       deep.mutable_layer(l).forward(current, next);
       if (cfg.propagate_wta) {
@@ -515,14 +547,14 @@ void train_replica(comm::Communicator& comm, const DistributedOptions& opts,
         data::one_hot_labels(labels, cfg.classes);
     run_bcpnn_head_phase(comm, opts, deep.head(), head_input, targets,
                          cfg.head_epochs, cfg.batch_size,
-                         mix(cfg.seed, /*stream=*/2), {}, sync_count);
+                         mix(cfg.seed, /*stream=*/2), {}, ledger);
   }
 
   // Schedule-agreement invariant over the new uint64 collective: a rank
   // that desynchronized its reduction schedule would have deadlocked or
   // corrupted results — make the failure loud instead.
-  std::uint64_t lo = sync_count;
-  std::uint64_t hi = sync_count;
+  std::uint64_t lo = ledger.syncs;
+  std::uint64_t hi = ledger.syncs;
   comm.allreduce(&lo, 1, comm::ReduceOp::kMin);
   comm.allreduce(&hi, 1, comm::ReduceOp::kMax);
   if (lo != hi) {
@@ -609,14 +641,13 @@ DistributedReport DistributedTrainer::fit(Model& model,
   for (int r = 0; r < options_.ranks; ++r) {
     replicas.push_back(clone_model(model));
   }
-  std::vector<std::size_t> sync_counts(
-      static_cast<std::size_t>(options_.ranks), 0);
+  std::vector<RankLedger> ledgers(static_cast<std::size_t>(options_.ranks));
 
   const comm::RunStats stats = comm::run_transport(
       options_.backend, options_.ranks, [&](comm::Communicator& comm) {
         train_replica(comm, options_,
                       replicas[static_cast<std::size_t>(comm.rank())], x,
-                      labels, sync_counts[static_cast<std::size_t>(comm.rank())]);
+                      labels, ledgers[static_cast<std::size_t>(comm.rank())]);
       });
 
   adopt_state(replicas[0], model);
@@ -629,7 +660,10 @@ DistributedReport DistributedTrainer::fit(Model& model,
                                    ? 0
                                    : stats.wire_bytes_per_rank[0];
   report.total_wire_bytes = stats.total_wire_bytes;
-  report.sync_count = sync_counts[0];
+  report.sync_count = ledgers[0].syncs;
+  report.compute_s = ledgers[0].compute_s;
+  report.pack_s = ledgers[0].pack_s;
+  report.exchange_s = ledgers[0].exchange_s;
   return report;
 }
 
@@ -649,10 +683,10 @@ std::size_t DistributedTrainer::fit_rank(comm::Communicator& comm,
   // Train a clone and adopt it, exactly like fit() does per rank, so the
   // multi-process path shares fit()'s state handling bit for bit.
   Model replica = clone_model(model);
-  std::size_t sync_count = 0;
-  train_replica(comm, options_, replica, x, labels, sync_count);
+  RankLedger ledger;
+  train_replica(comm, options_, replica, x, labels, ledger);
   adopt_state(replica, model);
-  return sync_count;
+  return ledger.syncs;
 }
 
 DistributedReport fit_distributed(Model& model, const tensor::MatrixF& x,

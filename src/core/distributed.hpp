@@ -3,22 +3,22 @@
 // StreamBrain's MPI backend. Because BCPNN learning is local, the only
 // state that must be synchronized is the probability traces (plus the
 // read-out head's state): each rank trains on its shard and the ranks
-// exchange one reduction per batch; weights are recomputed locally from
-// the synchronized traces. Section II-B's claim — "one can conceptually
-// launch different BCPNN instances and scale horizontally without the
-// limiting factor on communication" — is exactly what bench_scaling
-// measures with this trainer.
+// exchange one set of batch statistics per batch; weights are
+// recomputed locally from the synchronized traces. Section II-B's claim —
+// "one can conceptually launch different BCPNN instances and scale
+// horizontally without the limiting factor on communication" — is
+// exactly what bench_scaling measures with this trainer.
 //
 // DistributedTrainer trains *full* models (hidden BCPNN layer + BCPNN or
 // SGD read-out head, and deep:: stacks) and is rank-count invariant by
 // construction: every global batch is partitioned into a fixed number of
 // *virtual shards* (independent of the rank count), each rank computes
 // the partial batch statistics of the virtual shards it owns, one
-// zero-padded allreduce exchanges them (exact — the shards' slots are
-// disjoint, so every addition is x + 0), and every rank then combines the
-// shards in fixed order and applies the identical update. The result is
-// bit-identical at 1, 2, 3, 4, ... ranks as long as `virtual_shards`
-// stays fixed.
+// allgather hands every rank every shard's statistics unchanged (no
+// arithmetic happens in the collective), and every rank then combines the
+// shards in fixed shard order and applies the identical update. The
+// result is bit-identical at 1, 2, 3, 4, ... ranks as long as
+// `virtual_shards` stays fixed.
 
 #include <cstddef>
 #include <cstdint>
@@ -38,8 +38,10 @@ struct DistributedOptions {
   /// over a real shared-memory segment / loopback TCP mesh — results are
   /// bit-identical, only the wire (and wire_bytes accounting) changes.
   comm::Backend backend = comm::Backend::kInProcess;
-  /// Allreduce algorithm used for every synchronization; changes the
-  /// communication pattern and byte accounting, never the result.
+  /// Allreduce algorithm of the cadence mode's parameter averaging
+  /// (sync_cadence >= 2); changes its communication pattern and byte
+  /// accounting. The exact mode runs no allreduce, so this option does
+  /// not affect it.
   comm::AllreduceAlgorithm algorithm = comm::AllreduceAlgorithm::kFlat;
   /// Batches between synchronizations. 1 (default) is the exact mode:
   /// one statistics reduction per batch, bit-identical across rank
@@ -51,14 +53,17 @@ struct DistributedOptions {
   /// Fixed data decomposition width for the exact mode. Results are
   /// invariant to the rank count but NOT to this value; any rank count
   /// (including ranks > virtual_shards) is supported. Reproducibility has
-  /// a bandwidth price: the exact mode's per-batch payload is
-  /// virtual_shards * the trace-statistics block (the zero padding that
-  /// makes the reduction exact), so traffic scales linearly with this
-  /// knob. Lower it (or raise sync_cadence) to trade traffic for
-  /// parallel width / fidelity.
+  /// a bandwidth price: with S = virtual_shards, P ranks and a statistics
+  /// block of B floats, each rank sends its ceil(S/P) owned shard blocks
+  /// to the P - 1 others, (P - 1) * ceil(S/P) * B * 4 bytes per batch
+  /// (one of those blocks is unused padding when S % P != 0). Traffic
+  /// scales linearly with this knob; lower it (or raise sync_cadence) to
+  /// trade traffic for parallel width / fidelity.
   int virtual_shards = 8;
-  /// Issue the per-batch reduction as a nonblocking iallreduce and pack
-  /// the next batch's shard rows before waiting on it (exact mode only).
+  /// Exact mode only: pack the next batch's shard rows before the
+  /// per-batch exchange instead of after it. Collectives make progress
+  /// only while a rank waits in them, so no transfer is hidden behind the
+  /// packing; the result is identical either way.
   bool overlap = true;
 };
 
@@ -71,7 +76,13 @@ struct DistributedReport {
   std::uint64_t total_bytes = 0;       ///< true sum over all ranks
   std::uint64_t wire_bytes_per_rank = 0;  ///< bytes on the wire, rank 0
   std::uint64_t total_wire_bytes = 0;     ///< wire bytes, sum over ranks
-  std::size_t sync_count = 0;          ///< number of reductions (rank 0)
+  std::size_t sync_count = 0;          ///< number of exchanges (rank 0)
+  /// Rank 0's phase-loop wall time, split three ways (their sum is at
+  /// most `seconds`, which also covers replica set-up and the forward
+  /// passes between phases):
+  double compute_s = 0.0;   ///< shard statistics, updates, epoch ends
+  double pack_s = 0.0;      ///< gathering each batch's shard rows
+  double exchange_s = 0.0;  ///< collectives, waiting for peers, combines
 };
 
 /// Full-model data-parallel trainer. Equivalent to `model.fit(x, labels)`
@@ -100,7 +111,7 @@ class DistributedTrainer {
   /// communicator's world size. On return `model` holds the
   /// rank-synchronized state — bit-identical on every rank, and to a
   /// single-process fit() with the same options and rank count. Returns
-  /// the number of reductions this rank issued.
+  /// the number of exchanges this rank issued.
   std::size_t fit_rank(comm::Communicator& comm, Model& model,
                        const tensor::MatrixF& x,
                        const std::vector<int>& labels);

@@ -569,9 +569,8 @@ TEST(Comm, HierarchicalAllreduceAcrossHosts) {
 }
 
 TEST(Comm, HierarchicalDisjointShardPayloadsAreExact) {
-  // The payload shape DistributedTrainer reduces: each rank's slots are
-  // disjoint and zero-padded, so every addition is x + 0 and the
-  // two-level association cannot change a single bit.
+  // Each rank's slots are disjoint and zero-padded, so every addition is
+  // x + 0 and the two-level association cannot change a single bit.
   sc::HierarchicalOptions options;
   options.hosts = 2;
   options.ranks_per_host = 2;

@@ -2,10 +2,11 @@
 // (hidden BCPNN layer + BCPNN or SGD head, and deep stacks) data-parallel
 // over comm::, and with the default sync_cadence == 1 the result is
 // BIT-IDENTICAL at every rank count — the per-batch statistics are
-// computed per fixed virtual shard and exchanged through a zero-padded
-// (exact) allreduce, so no floating-point association depends on the
-// rank count. The golden tests pin the scalar dispatch tier and compare
-// rank-2 training against committed digests under tests/golden/.
+// computed per fixed virtual shard, every rank allgathers every shard's
+// statistics and adds them up in shard order, so no floating-point
+// association depends on the rank count. The golden tests pin the scalar
+// dispatch tier and compare rank-2 training against committed digests
+// under tests/golden/.
 
 #include <gtest/gtest.h>
 
@@ -206,8 +207,8 @@ TEST(Distributed, MoreRanksThanVirtualShardsStillExact) {
 }
 
 TEST(Distributed, RingAlgorithmBitIdenticalToFlat) {
-  // The exact mode's allreduce payload has disjoint per-shard support, so
-  // the algorithm changes bytes and schedule but never a single bit.
+  // The exact mode exchanges shard statistics by allgather and runs no
+  // allreduce, so the algorithm changes neither a bit nor a byte there.
   const auto flat = train_snapshot(
       make_shallow(sc::HeadType::kBcpnn),
       {.ranks = 4, .algorithm = scomm::AllreduceAlgorithm::kFlat});
@@ -215,8 +216,52 @@ TEST(Distributed, RingAlgorithmBitIdenticalToFlat) {
       make_shallow(sc::HeadType::kBcpnn),
       {.ranks = 4, .algorithm = scomm::AllreduceAlgorithm::kRing});
   expect_bit_identical(flat, ring, "flat vs ring");
-  // Ring moves fewer bytes per rank at 4 ranks: 2*(P-1)/P*n vs (P-1)*n.
-  EXPECT_LT(ring.report.bytes_per_rank, flat.report.bytes_per_rank);
+  EXPECT_EQ(ring.report.bytes_per_rank, flat.report.bytes_per_rank);
+
+  // The cadence mode's parameter averaging is an allreduce: ring moves
+  // fewer bytes per rank at 4 ranks, 2*(P-1)/P*n vs (P-1)*n.
+  const auto flat_cadence = train_snapshot(
+      make_shallow(sc::HeadType::kBcpnn),
+      {.ranks = 4,
+       .algorithm = scomm::AllreduceAlgorithm::kFlat,
+       .sync_cadence = 2});
+  const auto ring_cadence = train_snapshot(
+      make_shallow(sc::HeadType::kBcpnn),
+      {.ranks = 4,
+       .algorithm = scomm::AllreduceAlgorithm::kRing,
+       .sync_cadence = 2});
+  EXPECT_LT(ring_cadence.report.bytes_per_rank,
+            flat_cadence.report.bytes_per_rank);
+}
+
+TEST(Distributed, ExactModeSendsOnlyOwnedShardStatistics) {
+  // make_shallow(kBcpnn): 280 one-hot inputs, 20 hidden units, 2 classes;
+  // 260 rows in batches of 32 are 9 batches per epoch.
+  constexpr std::uint64_t kInputs = 28 * 10;
+  constexpr std::uint64_t kHidden = 20;
+  constexpr std::uint64_t kClasses = 2;
+  constexpr std::uint64_t kBatches = 9;
+  constexpr std::uint64_t kHiddenBlock = kInputs + kHidden + kInputs * kHidden;
+  constexpr std::uint64_t kHeadBlock = kHidden + kClasses + kHidden * kClasses;
+  constexpr std::uint64_t kHiddenSyncs = 2 * kBatches;  // epochs = 2
+  constexpr std::uint64_t kHeadSyncs = 3 * kBatches;    // head_epochs = 3
+  constexpr std::uint64_t kShards = 8;
+  for (const int ranks : {2, 3, 4}) {
+    const auto snap = train_snapshot(make_shallow(sc::HeadType::kBcpnn),
+                                     {.ranks = ranks,
+                                      .virtual_shards = int{kShards}});
+    const auto p = static_cast<std::uint64_t>(ranks);
+    const std::uint64_t slots = (kShards + p - 1) / p;
+    // Each rank sends its ceil(S/P) owned shard blocks to the P - 1
+    // others, plus the two uint64 schedule-check allreduces.
+    const std::uint64_t expected =
+        (p - 1) * slots * sizeof(float) *
+            (kHiddenSyncs * kHiddenBlock + kHeadSyncs * kHeadBlock) +
+        2 * (p - 1) * sizeof(std::uint64_t);
+    EXPECT_EQ(snap.report.sync_count, kHiddenSyncs + kHeadSyncs);
+    EXPECT_EQ(snap.report.bytes_per_rank, expected)
+        << "ranks=" << ranks;
+  }
 }
 
 // --- Transport-backend invariance (shm segment / TCP loopback mesh) --------
@@ -457,6 +502,17 @@ TEST(Distributed, ReportTotalBytesIsSumOfPerRankCounters) {
     EXPECT_GT(snap.report.total_bytes, fewer_ranks_total);
     fewer_ranks_total = snap.report.total_bytes;
   }
+}
+
+TEST(Distributed, ReportSplitsRankZeroTimeIntoComputePackAndExchange) {
+  const auto snap =
+      train_snapshot(make_shallow(sc::HeadType::kSgd), {.ranks = 2});
+  const auto& report = snap.report;
+  EXPECT_GT(report.compute_s, 0.0);
+  EXPECT_GT(report.pack_s, 0.0);
+  EXPECT_GT(report.exchange_s, 0.0);
+  EXPECT_LE(report.compute_s + report.pack_s + report.exchange_s,
+            report.seconds);
 }
 
 TEST(Distributed, SingleRankSendsNothing) {
