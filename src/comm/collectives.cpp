@@ -20,7 +20,6 @@
 
 #include "comm/communicator.hpp"
 #include "comm/transport_internal.hpp"
-#include "util/log.hpp"
 
 namespace streambrain::comm {
 
@@ -249,54 +248,6 @@ std::unique_ptr<Transport> make_transport(const TransportOptions& options) {
 }
 
 // ---------------------------------------------------------------------------
-// Request
-
-Request::Request(Request&& other) noexcept
-    : transport_(other.transport_), complete_(std::move(other.complete_)) {
-  other.transport_ = nullptr;
-  other.complete_ = nullptr;
-}
-
-namespace {
-
-void abandon_pending(Transport* transport) noexcept {
-  std::ostringstream msg;
-  msg << "comm::Request destroyed while pending";
-  if (transport != nullptr) msg << " on rank " << transport->rank();
-  msg << "; peers would block in the collective forever — poisoning the "
-         "world so they fail fast (call wait() before dropping a Request)";
-  SB_LOG_ERROR() << msg.str();
-  if (transport != nullptr) {
-    transport->poison(transport->rank(), msg.str());
-  }
-}
-
-}  // namespace
-
-Request& Request::operator=(Request&& other) noexcept {
-  if (this != &other) {
-    if (complete_) abandon_pending(transport_);
-    transport_ = other.transport_;
-    complete_ = std::move(other.complete_);
-    other.transport_ = nullptr;
-    other.complete_ = nullptr;
-  }
-  return *this;
-}
-
-Request::~Request() {
-  if (complete_) abandon_pending(transport_);
-}
-
-void Request::wait() {
-  if (!complete_) return;
-  // Clear first so a throwing collective cannot be re-entered.
-  std::function<void()> complete = std::move(complete_);
-  complete_ = nullptr;
-  complete();
-}
-
-// ---------------------------------------------------------------------------
 // Collectives
 
 namespace {
@@ -454,20 +405,6 @@ void Communicator::allreduce_mean(double* data, std::size_t count,
   allreduce(data, count, ReduceOp::kSum, algorithm);
   const double inv = 1.0 / static_cast<double>(size());
   for (std::size_t i = 0; i < count; ++i) data[i] *= inv;
-}
-
-Request Communicator::iallreduce(float* data, std::size_t count, ReduceOp op,
-                                 AllreduceAlgorithm algorithm) {
-  return Request(transport_, [this, data, count, op, algorithm] {
-    allreduce(data, count, op, algorithm);
-  });
-}
-
-Request Communicator::iallreduce(double* data, std::size_t count, ReduceOp op,
-                                 AllreduceAlgorithm algorithm) {
-  return Request(transport_, [this, data, count, op, algorithm] {
-    allreduce(data, count, op, algorithm);
-  });
 }
 
 void Communicator::broadcast(float* data, std::size_t count, int root) {

@@ -50,37 +50,6 @@ enum class AllreduceAlgorithm { kFlat, kRing };
 /// Short name for reports/benchmarks ("flat" / "ring").
 const char* algorithm_name(AllreduceAlgorithm algorithm) noexcept;
 
-class Communicator;
-
-/// Handle for a nonblocking collective. The operation completes inside
-/// wait(), which every participating rank must call in the same relative
-/// order as the iallreduce that produced it (MPI nonblocking semantics).
-/// wait() is idempotent. Destroying a pending Request is a bug that real
-/// MPI punishes with a silent peer deadlock — here it logs loudly and
-/// poisons the world, so every rank aborts with CommError instead.
-class Request {
- public:
-  Request() = default;
-  Request(Request&& other) noexcept;
-  Request& operator=(Request&& other) noexcept;
-  Request(const Request&) = delete;
-  Request& operator=(const Request&) = delete;
-  ~Request();
-
-  /// Complete the collective (no-op when already completed or empty).
-  void wait();
-
-  /// True while the collective has not completed.
-  [[nodiscard]] bool pending() const noexcept { return bool(complete_); }
-
- private:
-  friend class Communicator;
-  Request(Transport* transport, std::function<void()> complete)
-      : transport_(transport), complete_(std::move(complete)) {}
-  Transport* transport_ = nullptr;
-  std::function<void()> complete_;
-};
-
 /// Per-rank handle over a connected Transport. Valid only while the
 /// transport outlives it (inside run_transport()'s closure, or alongside
 /// the owning Endpoint).
@@ -113,18 +82,6 @@ class Communicator {
                       AllreduceAlgorithm algorithm = AllreduceAlgorithm::kFlat);
   void allreduce_mean(double* data, std::size_t count,
                       AllreduceAlgorithm algorithm = AllreduceAlgorithm::kFlat);
-
-  /// Nonblocking allreduce: returns immediately; the reduction happens
-  /// collectively inside Request::wait() (progress-at-wait semantics, as
-  /// in MPI implementations without a progress thread). The caller may
-  /// compute on unrelated data between issue and wait; `data` must stay
-  /// untouched and alive until the wait returns.
-  [[nodiscard]] Request iallreduce(
-      float* data, std::size_t count, ReduceOp op,
-      AllreduceAlgorithm algorithm = AllreduceAlgorithm::kFlat);
-  [[nodiscard]] Request iallreduce(
-      double* data, std::size_t count, ReduceOp op,
-      AllreduceAlgorithm algorithm = AllreduceAlgorithm::kFlat);
 
   /// Copy `count` elements from `root`'s buffer to every rank.
   void broadcast(float* data, std::size_t count, int root);

@@ -285,7 +285,6 @@ void run_sync_phase(comm::Communicator& comm, const DistributedOptions& opts,
                  rank, world, current);
     });
     for (std::size_t b = 0; b < batches; ++b) {
-      const std::size_t next_start = (b + 1) * phase.batch_size;
       timed(ledger.compute_s, [&] {
         for (std::size_t v = static_cast<std::size_t>(rank); v < shards;
              v += static_cast<std::size_t>(world)) {
@@ -301,20 +300,19 @@ void run_sync_phase(comm::Communicator& comm, const DistributedOptions& opts,
         }
       });
 
-      const auto pack_next = [&] {
-        if (next_start >= n) return;
+      // Gather the next batch's shard rows before this batch's exchange.
+      const std::size_t next_start = (b + 1) * phase.batch_size;
+      if (next_start < n) {
         timed(ledger.pack_s, [&] {
           pack_batch(x, targets, order, next_start,
                      std::min(next_start + phase.batch_size, n), shards, rank,
                      world, next);
         });
-      };
+      }
 
       if (exact) {
         // One exchange of the owned shards' statistics per batch.
-        if (opts.overlap) pack_next();
         timed(ledger.exchange_s, [&] { exchange.exchange(comm); });
-        if (!opts.overlap) pack_next();
         timed(ledger.compute_s, [&] {
           phase.apply(exchange.total.data(), current.batch_rows);
         });
@@ -328,7 +326,6 @@ void run_sync_phase(comm::Communicator& comm, const DistributedOptions& opts,
             phase.apply(exchange.total.data(), current.local_rows);
           });
         }
-        pack_next();
         if ((b + 1) % opts.sync_cadence == 0 || b + 1 == batches) {
           timed(ledger.exchange_s, [&] { phase.average(comm); });
           ++ledger.syncs;

@@ -60,11 +60,6 @@ struct DistributedOptions {
   /// scales linearly with this knob; lower it (or raise sync_cadence) to
   /// trade traffic for parallel width / fidelity.
   int virtual_shards = 8;
-  /// Exact mode only: pack the next batch's shard rows before the
-  /// per-batch exchange instead of after it. Collectives make progress
-  /// only while a rank waits in them, so no transfer is hidden behind the
-  /// packing; the result is identical either way.
-  bool overlap = true;
 };
 
 struct DistributedReport {

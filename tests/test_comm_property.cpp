@@ -4,10 +4,10 @@
 // (including 0 and 1), float and double, world sizes 1–8; rank-order
 // determinism of the flat allreduce (bitwise equal to a serial
 // left-to-right reduction), flat-vs-ring agreement (exact for min/max,
-// tight tolerance for float sums), nonblocking iallreduce equivalence,
-// the byte-accounting invariants of every operation, and the fault
-// contract: a rank failure mid-collective must surface as comm::CommError
-// on every surviving rank instead of hanging.
+// tight tolerance for float sums), the byte-accounting invariants of
+// every operation, and the fault contract: a rank failure mid-collective
+// must surface as comm::CommError on every surviving rank instead of
+// hanging.
 //
 // The collectives are written once against the Transport interface, so
 // passing here means the three backends are observationally identical up
@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -259,40 +258,6 @@ TEST_P(CommProperty, ResultBitwiseIdenticalToInprocBackend) {
     const auto mine = run_allreduce(inputs, sc::ReduceOp::kSum, algorithm);
     EXPECT_EQ(mine, reference);
   }
-}
-
-// --- Nonblocking -----------------------------------------------------------
-
-TEST_P(CommProperty, IallreduceMatchesBlockingAndOverlapsCompute) {
-  for (const auto algorithm :
-       {sc::AllreduceAlgorithm::kFlat, sc::AllreduceAlgorithm::kRing}) {
-    const auto inputs = random_contributions<float>(4, 77, 13);
-    const auto blocking =
-        run_allreduce(inputs, sc::ReduceOp::kSum, algorithm);
-    std::vector<std::vector<float>> results(4);
-    run(4, [&](sc::Communicator& comm) {
-      std::vector<float> mine = inputs[static_cast<std::size_t>(comm.rank())];
-      sc::Request request =
-          comm.iallreduce(mine.data(), mine.size(), sc::ReduceOp::kSum,
-                          algorithm);
-      EXPECT_TRUE(request.pending());
-      // Compute on unrelated data while the collective is in flight.
-      double unrelated = 0.0;
-      for (int i = 0; i < 1000; ++i) unrelated += std::sqrt(i + comm.rank());
-      EXPECT_GT(unrelated, 0.0);
-      request.wait();
-      EXPECT_FALSE(request.pending());
-      request.wait();  // idempotent
-      results[static_cast<std::size_t>(comm.rank())] = std::move(mine);
-    });
-    EXPECT_EQ(results, blocking);
-  }
-}
-
-TEST_P(CommProperty, DefaultRequestIsEmpty) {
-  sc::Request request;
-  EXPECT_FALSE(request.pending());
-  request.wait();  // no-op
 }
 
 // --- Other collectives over randomized shapes ------------------------------

@@ -313,14 +313,6 @@ TEST(Distributed, WireBytesIncludeFramingOnRealTransports) {
   EXPECT_GE(inproc.report.wire_bytes_per_rank, inproc.report.bytes_per_rank);
 }
 
-TEST(Distributed, OverlapDoesNotChangeResults) {
-  const auto on = train_snapshot(make_shallow(sc::HeadType::kSgd),
-                                 {.ranks = 2, .overlap = true});
-  const auto off = train_snapshot(make_shallow(sc::HeadType::kSgd),
-                                  {.ranks = 2, .overlap = false});
-  expect_bit_identical(on, off, "overlap on vs off");
-}
-
 // --- Golden digests (scalar tier, committed under tests/golden/) -----------
 
 namespace {
