@@ -1,6 +1,7 @@
 // Benchmarks Section II-B's scaling claim: BCPNN's local learning makes
-// data-parallel training communication-light — one statistics exchange
-// per batch is ALL the traffic, with no gradient exchange and no backward
+// data-parallel training communication-light — one exchange per batch
+// (support rows of the hidden layer's column slices, statistics of the
+// head) is ALL the traffic, with no gradient exchange and no backward
 // pass. This harness trains the same full model (hidden BCPNN layer +
 // supervised head) through core::DistributedTrainer on 1, 2, 4 and 8
 // simulated ranks, under both allreduce algorithms (flat rank-ordered vs
@@ -195,13 +196,15 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nshape check vs paper (Section II-B): communication is one\n"
-      "statistics exchange per batch — no gradient exchange, no backward\n"
-      "pass. Training is bit-identical at every rank count (cadence 1), so\n"
-      "the accuracy column is constant by construction. The exact mode\n"
-      "allgathers each rank's own shards: with S = virtual_shards (default\n"
-      "8), P ranks and a statistics block of B floats, a rank sends\n"
-      "(P-1) * ceil(S/P) * B * 4 bytes per batch, whatever the algorithm.\n"
-      "--cadence k >= 2 drops to one B-sized average per k batches, where\n"
+      "exchange per batch — no gradient exchange, no backward pass.\n"
+      "Training is bit-identical at every rank count (cadence 1), so the\n"
+      "accuracy column is constant by construction. The exact mode splits\n"
+      "the hidden layer by columns: per batch of b rows each of P ranks\n"
+      "sends its b x ceil(H/P) support slice (H hidden units), (P-1) * b *\n"
+      "ceil(H/P) * 4 bytes, plus its trace slice once per epoch; the head\n"
+      "sends its ceil(S/P) owned shard blocks of B statistics floats (S =\n"
+      "virtual_shards, default 8), whatever the algorithm. --cadence k >= 2\n"
+      "averages whole trace matrices once per k batches, where\n"
       "the ring algorithm moves 2*(P-1)/P*n bytes per rank vs the flat\n"
       "path's (P-1)*n. The backend rows train the SAME bits over a real shm\n"
       "segment / TCP loopback mesh; wire MB/rank adds the frame headers\n"

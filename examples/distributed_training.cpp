@@ -1,10 +1,10 @@
 // Full-model data-parallel BCPNN training over the comm transport layer —
 // the usage pattern of StreamBrain's MPI backend, extended to the whole
-// Estimator surface. core::DistributedTrainer shards every batch across
-// ranks, synchronizes the hidden traces AND the supervised head with one
-// exchange of batch statistics per batch, and (with the default
-// sync_cadence of 1) produces a model that is bit-identical to
-// single-rank training — on every backend.
+// Estimator surface. core::DistributedTrainer splits each hidden layer
+// by columns across ranks and exchanges one set of support rows per
+// batch, shards every head batch across ranks and exchanges its
+// statistics, and (with the default sync_cadence of 1) produces a model
+// that is bit-identical to single-rank training — on every backend.
 //
 // Two launch modes:
 //  * single process (default): fit_distributed() runs `--ranks` rank
@@ -18,8 +18,8 @@
 //
 // The schedule is Model::fit's — annealed noise, per-epoch plasticity,
 // the prune cadence, then the head — so a model configured for serial
-// training trains the same way here; only the batch statistics are
-// exchanged across ranks.
+// training trains the same way here; only support rows, trace slices
+// and head statistics are exchanged across ranks.
 //
 // Usage:
 //   example_distributed_training [--ranks 4] [--events 2400] [--mcus 80]
@@ -56,8 +56,8 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.get_int("cadence", 1));
   const bool ring = args.has("ring");
   const bool multi_process = comm::env_world_configured();
-  // The exact mode allgathers shard statistics; --ring only changes the
-  // cadence mode's parameter-averaging allreduce.
+  // The exact mode allgathers support slices and head statistics; --ring
+  // only changes the cadence mode's parameter-averaging allreduce.
   const std::string exchange =
       cadence <= 1 ? std::string("per-batch allgather")
                    : std::string(ring ? "ring" : "flat") +
@@ -140,9 +140,9 @@ int main(int argc, char** argv) {
   std::printf("  wall time            : %.2f s\n", report.seconds);
   std::printf("    compute (rank 0)   : %.2f s\n", report.compute_s);
   std::printf("    pack (rank 0)      : %.2f s\n", report.pack_s);
-  std::printf("    exchange (rank 0)  : %.2f s (collective, wait, combine)\n",
+  std::printf("    exchange (rank 0)  : %.2f s (collective, wait, unpack)\n",
               report.exchange_s);
-  std::printf("  exchanges            : %zu (ALL the traffic)\n",
+  std::printf("  exchanges            : %zu (one per batch)\n",
               report.sync_count);
   std::printf("  logical traffic/rank : %.1f MB\n",
               static_cast<double>(report.bytes_per_rank) / 1e6);
@@ -159,9 +159,12 @@ int main(int argc, char** argv) {
               100.0 * auc);
   std::printf(
       "\nwhy this scales (paper Section II-B): learning is local, so ranks\n"
-      "never exchange gradients or activations — only per-batch statistics,\n"
-      "added up in a fixed order. With sync_cadence 1 the trained\n"
-      "model is bit-identical at ANY rank count AND any backend; try\n"
-      "--ranks 1, --backend shm, or sb_launch -n 4 and compare.\n");
+      "never exchange gradients. Each rank owns a slice of the hidden\n"
+      "units: per batch it sends only its columns' support rows, and it\n"
+      "updates only its columns' traces and weights; the heads exchange\n"
+      "small per-shard statistics, added up in a fixed order. With\n"
+      "sync_cadence 1 the trained model is bit-identical at ANY rank count\n"
+      "AND any backend; try --ranks 1, --backend shm, or sb_launch -n 4\n"
+      "and compare.\n");
   return 0;
 }

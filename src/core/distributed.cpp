@@ -14,6 +14,7 @@
 #include "core/serialization.hpp"
 #include "core/sgd_head.hpp"
 #include "data/dataset.hpp"
+#include "parallel/parallel_for.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/kernels.hpp"
 #include "util/rng.hpp"
@@ -165,30 +166,31 @@ void accumulate_trace_stats(const tensor::MatrixF& x, const tensor::MatrixF& a,
   std::copy_n(pij_scratch.data(), n_in * n_out, slot + n_in + n_out);
 }
 
-/// p += alpha * (sum / rows - p), the engine's trace EMA replayed from
-/// externally combined batch statistics. Plain serial loops: identical on
+/// p[i] += alpha * (sums[i] * inv - p[i]), the engine's trace EMA
+/// replayed from externally combined batch statistics, identically on
 /// every rank.
+void ema_from_sums(const float* sums, float inv, float alpha, float* p,
+                   std::size_t n) {
+  // Elementwise, so any split gives the same bits; the paper's 280 x 300
+  // traces run inline.
+  constexpr std::size_t kMinPerBlock = std::size_t{1} << 18;
+  parallel::for_blocks(n, kMinPerBlock, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      p[i] += alpha * (sums[i] * inv - p[i]);
+    }
+  });
+}
+
+/// The trace EMA of `rows` rows from a combined statistics block.
 void apply_trace_ema(const float* totals, std::size_t rows, float alpha,
                      ProbabilityTraces& traces) {
   const float inv = 1.0f / static_cast<float>(rows);
-  auto& pi = traces.mutable_pi();
-  auto& pj = traces.mutable_pj();
-  auto& pij = traces.mutable_pij();
-  const std::size_t n_in = pi.size();
-  const std::size_t n_out = pj.size();
-  const float* sum_pi = totals;
-  const float* sum_pj = totals + n_in;
-  const float* sum_pij = totals + n_in + n_out;
-  for (std::size_t i = 0; i < n_in; ++i) {
-    pi[i] += alpha * (sum_pi[i] * inv - pi[i]);
-  }
-  for (std::size_t j = 0; j < n_out; ++j) {
-    pj[j] += alpha * (sum_pj[j] * inv - pj[j]);
-  }
-  float* pij_data = pij.data();
-  for (std::size_t i = 0; i < n_in * n_out; ++i) {
-    pij_data[i] += alpha * (sum_pij[i] * inv - pij_data[i]);
-  }
+  const std::size_t n_in = traces.pi().size();
+  const std::size_t n_out = traces.pj().size();
+  ema_from_sums(totals, inv, alpha, traces.mutable_pi().data(), n_in);
+  ema_from_sums(totals + n_in, inv, alpha, traces.mutable_pj().data(), n_out);
+  ema_from_sums(totals + n_in + n_out, inv, alpha,
+                traces.mutable_pij().data(), n_in * n_out);
 }
 
 /// Pack / unpack traces into a flat buffer for cadence-mode averaging.
@@ -244,9 +246,9 @@ struct SyncPhase {
 /// phase loops spent their wall time.
 struct RankLedger {
   std::size_t syncs = 0;
-  double compute_s = 0.0;   ///< shard statistics, updates, epoch ends
+  double compute_s = 0.0;   ///< support, statistics, updates, epoch ends
   double pack_s = 0.0;      ///< gathering shard rows
-  double exchange_s = 0.0;  ///< collectives, waiting for peers, combines
+  double exchange_s = 0.0;  ///< collectives, waits, unpacking, combines
 };
 
 /// Run `step` and add its wall time to `seconds`.
@@ -366,6 +368,236 @@ SyncPhase trace_phase(ProbabilityTraces& traces,
   return phase;
 }
 
+// --- Column-split exact mode (hidden layers) --------------------------------
+//
+// Rank r owns a contiguous range of the layer's hidden-unit columns and
+// keeps only their slice of p_j, p_ij, W and the bias; p_i is replicated.
+// Per batch every rank computes the support of its columns for all rows,
+// one allgather assembles the full support rows, every rank adds each
+// virtual shard's noise and runs the softmax on full rows (replicated,
+// O(batch * n_out)), and then accumulates the trace statistics, the EMA
+// and the weights of its own columns only. Every engine computes each
+// support and weight column independently of its neighbours, in every
+// kernel tier (test_distributed's slice tests pin this), so the split
+// needs no SIMD alignment and the bits match the whole-matrix update.
+
+/// A rank's contiguous range of `n_out` hidden-unit columns: the first
+/// n_out % world ranks own one column more. Ranks beyond n_out own none
+/// but still join every collective.
+struct ColumnRange {
+  std::size_t begin = 0;
+  std::size_t width = 0;
+  std::size_t widest = 0;  ///< the widest rank's width: the exchange stride
+};
+
+ColumnRange column_range(std::size_t n_out, int rank, int world) {
+  const auto r = static_cast<std::size_t>(rank);
+  const auto p = static_cast<std::size_t>(world);
+  const std::size_t base = n_out / p;
+  const std::size_t extra = n_out % p;
+  return {r * base + std::min(r, extra), base + (r < extra ? 1 : 0),
+          base + (extra > 0 ? 1 : 0)};
+}
+
+/// Gather the rows of batch positions [start, end) of `order` into `out`
+/// shard by shard (position i -> shard (i - start) % shards, in position
+/// order within a shard); shard v ends at row seg_end[v].
+void pack_batch_by_shard(const tensor::MatrixF& src,
+                         const std::vector<std::size_t>& order,
+                         std::size_t start, std::size_t end,
+                         std::size_t shards, tensor::MatrixF& out,
+                         std::vector<std::size_t>& seg_end) {
+  out.resize_uninitialized(end - start, src.cols());
+  seg_end.resize(shards);
+  std::size_t row = 0;
+  for (std::size_t v = 0; v < shards; ++v) {
+    for (std::size_t i = start + v; i < end; i += shards) {
+      std::copy_n(src.row(order[i]), src.cols(), out.row(row++));
+    }
+    seg_end[v] = row;
+  }
+}
+
+/// sums[c] = the column sums of the `cols`-wide window at `m` (leading
+/// dimension ld), per shard in row order as tensor::col_sums adds them,
+/// then over the shards in shard order: the per-shard statistics and
+/// their fixed-order combine.
+void segmented_col_sums(const float* m, std::size_t ld, std::size_t cols,
+                        const std::vector<std::size_t>& seg_end,
+                        std::vector<float>& part, float* sums) {
+  std::fill_n(sums, cols, 0.0f);
+  part.resize(cols);
+  std::size_t row = 0;
+  for (const std::size_t end : seg_end) {
+    if (row == end) continue;  // a short last batch leaves a shard empty
+    std::fill(part.begin(), part.end(), 0.0f);
+    for (; row < end; ++row) {
+      tensor::axpy(1.0f, m + row * ld, part.data(), cols);
+    }
+    for (std::size_t c = 0; c < cols; ++c) sums[c] += part[c];
+  }
+}
+
+/// Allgather every rank's `cols`-wide slice of a rows x n_out matrix:
+/// `slice` (rows x own width, leading dimension `width`) is padded to the
+/// widest rank's width so the equal-count allgather serves, and `full`
+/// (leading dimension n_out) receives every rank's columns.
+void allgather_column_slices(comm::Communicator& comm, std::size_t n_out,
+                             std::size_t rows, const float* slice,
+                             float* full, std::vector<float>& send,
+                             std::vector<float>& gathered) {
+  const int world = comm.size();
+  const ColumnRange own = column_range(n_out, comm.rank(), world);
+  const std::size_t stride = own.widest;
+  send.assign(rows * stride, 0.0f);
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::copy_n(slice + r * own.width, own.width, send.data() + r * stride);
+  }
+  gathered.resize(static_cast<std::size_t>(world) * send.size());
+  comm.allgather(send.data(), send.size(), gathered.data());
+  for (int q = 0; q < world; ++q) {
+    const ColumnRange theirs = column_range(n_out, q, world);
+    const float* from =
+        gathered.data() + static_cast<std::size_t>(q) * send.size();
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::copy_n(from + r * stride, theirs.width,
+                  full + r * n_out + theirs.begin);
+    }
+  }
+}
+
+/// The unsupervised phase of one hidden layer in exact mode, split by
+/// columns. The layer itself is brought up to date at every epoch end:
+/// its full traces are gathered and its weights recomputed before the
+/// plasticity and prune steps, so they decide identically on every rank.
+void run_column_split_phase(comm::Communicator& comm,
+                            const DistributedOptions& opts,
+                            parallel::Engine& engine, BcpnnLayer& layer,
+                            const tensor::MatrixF& x, std::uint64_t stream,
+                            RankLedger& ledger) {
+  const BcpnnConfig& cfg = layer.config();
+  const std::size_t n = x.rows();
+  const std::size_t n_in = x.cols();
+  const std::size_t n_out = layer.hidden_units();
+  const std::size_t shards = static_cast<std::size_t>(opts.virtual_shards);
+  const bool single = comm.size() == 1;
+  const ColumnRange own = column_range(n_out, comm.rank(), comm.size());
+  const std::uint64_t phase_stream = mix(cfg.seed, stream);
+
+  // This rank's slice of the layer state.
+  std::vector<float> pi = layer.traces().pi();
+  std::vector<float> pj(own.width);
+  tensor::MatrixF pij(n_in, own.width);
+  tensor::MatrixF weights(n_in, own.width);
+  std::vector<float> bias(own.width);
+  const auto copy_columns = [&](const tensor::MatrixF& from,
+                                tensor::MatrixF& to) {
+    for (std::size_t i = 0; i < n_in; ++i) {
+      std::copy_n(from.row(i) + own.begin, own.width, to.row(i));
+    }
+  };
+  const auto load_weights = [&] {
+    copy_columns(layer.weights(), weights);
+    std::copy_n(layer.bias().data() + own.begin, own.width, bias.data());
+  };
+  std::copy_n(layer.traces().pj().data() + own.begin, own.width, pj.data());
+  copy_columns(layer.traces().pij(), pij);
+  load_weights();
+
+  tensor::MatrixF batch_x;
+  tensor::MatrixF support;
+  tensor::MatrixF activations;
+  std::vector<std::size_t> seg_end;
+  std::vector<float> send;
+  std::vector<float> gathered;
+  std::vector<float> part;
+  std::vector<float> sum_pi(n_in);
+  std::vector<float> sum_pj(own.width);
+  std::vector<float> sum_pij(n_in * own.width);
+
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  util::Rng order_rng(mix(phase_stream, 0x5A55C0DEULL));
+  const std::size_t batches = (n + cfg.batch_size - 1) / cfg.batch_size;
+  for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
+    order_rng.shuffle(order);
+    const float noise_std = cfg.noise_at(epoch);
+    for (std::size_t b = 0; b < batches; ++b) {
+      const std::size_t start = b * cfg.batch_size;
+      const std::size_t end = std::min(start + cfg.batch_size, n);
+      const std::size_t rows = end - start;
+      timed(ledger.pack_s, [&] {
+        pack_batch_by_shard(x, order, start, end, shards, batch_x, seg_end);
+      });
+      timed(ledger.compute_s, [&] {
+        if (own.width == 0) return;
+        engine.support(batch_x, weights, bias.data(), support);
+        // Each shard's noise stream covers its full rows; this rank
+        // transforms and adds only the draws of its own columns.
+        std::size_t row = 0;
+        for (std::size_t v = 0; v < shards; ++v) {
+          const std::size_t shard_rows = seg_end[v] - row;
+          if (noise_std > 0.0f && shard_rows > 0) {
+            util::Rng noise_rng = shard_noise_rng(phase_stream, epoch, b, v);
+            add_support_noise(noise_rng, noise_std, support.row(row),
+                              shard_rows, n_out, own.begin, own.width);
+          }
+          row = seg_end[v];
+        }
+      });
+      // The noisy support slices are this batch's only exchange.
+      timed(ledger.exchange_s, [&] {
+        if (single) {
+          std::swap(support, activations);
+        } else {
+          activations.resize_uninitialized(rows, n_out);
+          allgather_column_slices(comm, n_out, rows, support.data(),
+                                  activations.data(), send, gathered);
+        }
+      });
+      timed(ledger.compute_s, [&] {
+        engine.softmax_hcu(activations, cfg.mcus, cfg.inverse_temperature);
+
+        segmented_col_sums(batch_x.data(), n_in, n_in, seg_end, part,
+                           sum_pi.data());
+        segmented_col_sums(activations.data() + own.begin, n_out, own.width,
+                           seg_end, part, sum_pj.data());
+        tensor::segmented_gemm_tn(batch_x, activations.data() + own.begin,
+                                  n_out, own.width, seg_end, sum_pij.data(),
+                                  own.width);
+        const float inv = 1.0f / static_cast<float>(rows);
+        ema_from_sums(sum_pi.data(), inv, cfg.alpha, pi.data(), n_in);
+        ema_from_sums(sum_pj.data(), inv, cfg.alpha, pj.data(), own.width);
+        ema_from_sums(sum_pij.data(), inv, cfg.alpha, pij.data(),
+                      pij.size());
+        if (own.width > 0) {
+          engine.recompute_weights(pi.data(), pj.data(), pij, cfg.eps,
+                                   cfg.k_beta, weights, bias.data());
+          apply_weight_masks(cfg, layer.masks(), layer.prune_mask(),
+                             own.begin, weights);
+        }
+      });
+      ++ledger.syncs;
+    }
+
+    // Epoch end: the full traces on every rank, then the serial path's
+    // end-of-epoch steps, then this rank's slice of the new weights.
+    ProbabilityTraces& traces = layer.mutable_traces();
+    timed(ledger.exchange_s, [&] {
+      allgather_column_slices(comm, n_out, 1, pj.data(),
+                              traces.mutable_pj().data(), send, gathered);
+      allgather_column_slices(comm, n_out, n_in, pij.data(),
+                              traces.mutable_pij().data(), send, gathered);
+    });
+    timed(ledger.compute_s, [&] {
+      traces.mutable_pi() = pi;
+      layer.recompute_weights();
+      end_hidden_epoch(layer, epoch);
+      load_weights();
+    });
+  }
+}
+
 /// Unsupervised hidden-layer phase: schedule parameters all come from the
 /// layer's own config, so the same code drives shallow networks and every
 /// layer of a deep stack.
@@ -374,6 +606,10 @@ void run_unsupervised_phase(comm::Communicator& comm,
                             parallel::Engine& engine, BcpnnLayer& layer,
                             const tensor::MatrixF& x, std::uint64_t stream,
                             RankLedger& ledger) {
+  if (opts.sync_cadence <= 1) {
+    run_column_split_phase(comm, opts, engine, layer, x, stream, ledger);
+    return;
+  }
   const BcpnnConfig& cfg = layer.config();
   SyncPhase phase = trace_phase(
       layer.mutable_traces(), [&layer] { layer.recompute_weights(); },

@@ -2,23 +2,34 @@
 // Data-parallel BCPNN training over the comm substrate — the pattern of
 // StreamBrain's MPI backend. Because BCPNN learning is local, the only
 // state that must be synchronized is the probability traces (plus the
-// read-out head's state): each rank trains on its shard and the ranks
-// exchange one set of batch statistics per batch; weights are
-// recomputed locally from the synchronized traces. Section II-B's claim —
-// "one can conceptually launch different BCPNN instances and scale
-// horizontally without the limiting factor on communication" — is
-// exactly what bench_scaling measures with this trainer.
+// read-out head's state); weights are recomputed locally from them.
+// Section II-B's claim — "one can conceptually launch different BCPNN
+// instances and scale horizontally without the limiting factor on
+// communication" — is what bench_scaling measures with this trainer.
 //
 // DistributedTrainer trains *full* models (hidden BCPNN layer + BCPNN or
 // SGD read-out head, and deep:: stacks) and is rank-count invariant by
 // construction: every global batch is partitioned into a fixed number of
-// *virtual shards* (independent of the rank count), each rank computes
-// the partial batch statistics of the virtual shards it owns, one
-// allgather hands every rank every shard's statistics unchanged (no
-// arithmetic happens in the collective), and every rank then combines the
-// shards in fixed shard order and applies the identical update. The
+// *virtual shards* (independent of the rank count), the statistics of
+// each shard are summed on their own and the shards are then added up in
+// fixed shard order, and every rank applies the identical update. The
 // result is bit-identical at 1, 2, 3, 4, ... ranks as long as
 // `virtual_shards` stays fixed.
+//
+// In the exact mode (sync_cadence 1) a hidden layer is split by columns,
+// the sub-lattice ownership of Lin & Zheng's parallel Swendsen-Wang:
+// rank r owns a contiguous range of hidden units and keeps only their
+// slice of p_j, p_ij, the weights and the bias (p_i is replicated). Per
+// batch every rank computes and noises the support of its own columns
+// for all rows, one allgather assembles the full support rows (the only
+// per-batch exchange: batch x hidden floats in all), every rank runs the
+// per-hypercolumn softmax on full rows, and then updates the traces and
+// weights of its own columns only. At each epoch end one allgather of
+// the trace slices brings every rank's layer up to date for structural
+// plasticity and pruning. The read-out heads, whose statistics are only
+// n_hidden x classes, keep the shard exchange: each rank computes the
+// statistics of the shards it owns and one allgather hands every rank
+// every shard's block unchanged (no arithmetic happens in a collective).
 
 #include <cstddef>
 #include <cstdint>
@@ -44,21 +55,24 @@ struct DistributedOptions {
   /// not affect it.
   comm::AllreduceAlgorithm algorithm = comm::AllreduceAlgorithm::kFlat;
   /// Batches between synchronizations. 1 (default) is the exact mode:
-  /// one statistics reduction per batch, bit-identical across rank
-  /// counts. k >= 2 trades fidelity for k-fold less traffic: ranks apply
-  /// local updates and average traces/weights every k-th batch (plus at
-  /// every epoch end, so structural plasticity stays rank-synchronized).
-  /// Still deterministic, but dependent on (ranks, sync_cadence).
+  /// one exchange per batch, bit-identical across rank counts. k >= 2 is
+  /// the approximate mode: ranks apply local updates and average
+  /// traces/weights every k-th batch (plus at every epoch end, so
+  /// structural plasticity stays rank-synchronized). Still deterministic,
+  /// but dependent on (ranks, sync_cadence). Each average moves whole
+  /// trace matrices, so it is not cheaper than the exact mode's support
+  /// slices.
   std::size_t sync_cadence = 1;
   /// Fixed data decomposition width for the exact mode. Results are
   /// invariant to the rank count but NOT to this value; any rank count
-  /// (including ranks > virtual_shards) is supported. Reproducibility has
-  /// a bandwidth price: with S = virtual_shards, P ranks and a statistics
-  /// block of B floats, each rank sends its ceil(S/P) owned shard blocks
-  /// to the P - 1 others, (P - 1) * ceil(S/P) * B * 4 bytes per batch
-  /// (one of those blocks is unused padding when S % P != 0). Traffic
-  /// scales linearly with this knob; lower it (or raise sync_cadence) to
-  /// trade traffic for parallel width / fidelity.
+  /// (including ranks > virtual_shards, or more ranks than hidden units)
+  /// is supported. The hidden layers' traffic does not depend on it: per
+  /// batch of b rows each rank sends its b x w support slice to the P - 1
+  /// others, with w = ceil(n_hidden / P) (narrower slices are padded),
+  /// and per epoch its (1 + n_in) x w trace slice. The heads' does: with
+  /// S = virtual_shards and a head statistics block of B floats, each
+  /// rank sends its ceil(S/P) owned shard blocks, (P - 1) * ceil(S/P) *
+  /// B * 4 bytes per batch (one of them unused padding when S % P != 0).
   int virtual_shards = 8;
 };
 
@@ -75,9 +89,9 @@ struct DistributedReport {
   /// Rank 0's phase-loop wall time, split three ways (their sum is at
   /// most `seconds`, which also covers replica set-up and the forward
   /// passes between phases):
-  double compute_s = 0.0;   ///< shard statistics, updates, epoch ends
-  double pack_s = 0.0;      ///< gathering each batch's shard rows
-  double exchange_s = 0.0;  ///< collectives, waiting for peers, combines
+  double compute_s = 0.0;   ///< support, statistics, updates, epoch ends
+  double pack_s = 0.0;      ///< gathering each batch's rows by shard
+  double exchange_s = 0.0;  ///< collectives, waits, unpacking, combines
 };
 
 /// Full-model data-parallel trainer. Equivalent to `model.fit(x, labels)`

@@ -59,20 +59,56 @@ void BcpnnLayer::forward_noisy(const tensor::MatrixF& x,
 
 void add_support_noise(util::Rng& rng, float noise_std,
                        tensor::MatrixF& values) {
+  add_support_noise(rng, noise_std, values.data(), values.rows(),
+                    values.cols(), 0, values.cols());
+}
+
+void add_support_noise(util::Rng& rng, float noise_std, float* values,
+                       std::size_t rows, std::size_t row_width,
+                       std::size_t col_begin, std::size_t cols) {
   // Reused per thread: one double per entry (150 KiB at batch 64 x 300).
   thread_local std::vector<double> draws;
-  draws.resize(values.size());
+  draws.resize(rows * row_width);
   // A pair's transform (log, sqrt, sin, cos) costs about 40 ns.
   constexpr std::size_t kMinPairsPerBlock = 1024;
-  rng.fill_normal(0.0, noise_std, draws.data(), draws.size(),
-                  [](std::size_t pairs,
-                     const std::function<void(std::size_t, std::size_t)>&
-                         body) {
-                    parallel::for_blocks(pairs, kMinPairsPerBlock, body);
-                  });
-  float* v = values.data();
-  for (std::size_t i = 0; i < draws.size(); ++i) {
-    v[i] += static_cast<float>(draws[i]);
+  if (cols == row_width) {
+    rng.fill_normal(0.0, noise_std, draws.data(), draws.size(),
+                    [](std::size_t pairs,
+                       const std::function<void(std::size_t, std::size_t)>&
+                           body) {
+                      parallel::for_blocks(pairs, kMinPairsPerBlock, body);
+                    });
+  } else {
+    // Transform per row only the pairs holding draws of the window. The
+    // windows of two rows lie at least two draws apart, so no pair is
+    // visited twice.
+    const std::size_t first = rng.has_cached_normal() ? 1 : 0;
+    const std::size_t min_rows = std::max<std::size_t>(
+        1, 2 * kMinPairsPerBlock / std::max<std::size_t>(1, cols));
+    rng.fill_normal(
+        0.0, noise_std, draws.data(), draws.size(),
+        [&](std::size_t pairs,
+            const std::function<void(std::size_t, std::size_t)>& body) {
+          if (cols == 0) return;
+          parallel::for_blocks(rows, min_rows, [&](std::size_t r0,
+                                                   std::size_t r1) {
+            for (std::size_t r = r0; r < r1; ++r) {
+              const std::size_t lo = r * row_width + col_begin;
+              const std::size_t last = lo + cols - 1;
+              const std::size_t p_lo = lo <= first ? 0 : (lo - first) / 2;
+              const std::size_t p_hi =
+                  last < first ? 0 : std::min(pairs, (last - first) / 2 + 1);
+              if (p_lo < p_hi) body(p_lo, p_hi);
+            }
+          });
+        });
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* row_draws = draws.data() + r * row_width + col_begin;
+    float* row_values = values + r * cols;
+    for (std::size_t c = 0; c < cols; ++c) {
+      row_values[c] += static_cast<float>(row_draws[c]);
+    }
   }
 }
 
@@ -116,11 +152,24 @@ void BcpnnLayer::recompute_weights() {
 }
 
 void BcpnnLayer::apply_masks() {
+  apply_weight_masks(config_, masks_, prune_keep_, 0, weights_);
+}
+
+void apply_weight_masks(const BcpnnConfig& config,
+                        const ReceptiveFieldMasks& masks,
+                        const std::vector<std::uint8_t>& prune_keep,
+                        std::size_t col_begin, tensor::MatrixF& w) {
+  const std::size_t cols = w.cols();
+  if (cols == 0) return;
+  const std::size_t col_end = col_begin + cols;
   // A silent connection contributes nothing to the support: zero the
-  // weight block (all input units of hypercolumn i) x (all MCUs of HCU h).
-  const std::size_t bins = config_.input_bins;
-  const std::size_t mcus = config_.mcus;
-  const std::size_t inputs = config_.input_hypercolumns;
+  // weight block (all input units of hypercolumn i) x (the MCUs of HCU h
+  // inside the slice).
+  const std::size_t bins = config.input_bins;
+  const std::size_t mcus = config.mcus;
+  const std::size_t inputs = config.input_hypercolumns;
+  const std::size_t first_hcu = col_begin / mcus;
+  const std::size_t hcus = (col_end - 1) / mcus + 1 - first_hcu;
   // (hcu, input) pairs per fan-out block: at least kMinWeightsPerBlock
   // weights, like the engine's weight recomputation, so a layer the size
   // of the paper's runs inline on every training batch.
@@ -128,31 +177,36 @@ void BcpnnLayer::apply_masks() {
   const std::size_t min_pairs = (kMinWeightsPerBlock + bins * mcus - 1) /
                                 std::max<std::size_t>(1, bins * mcus);
   parallel::for_blocks(
-      config_.hcus * inputs, min_pairs,
-      [&](std::size_t p0, std::size_t p1) {
+      hcus * inputs, min_pairs, [&](std::size_t p0, std::size_t p1) {
         for (std::size_t p = p0; p < p1; ++p) {
-          const std::size_t h = p / inputs;
+          const std::size_t h = first_hcu + p / inputs;
           const std::size_t i = p % inputs;
-          if (masks_.active(h, i)) continue;
+          if (masks.active(h, i)) continue;
+          const std::size_t j0 = std::max(h * mcus, col_begin) - col_begin;
+          const std::size_t j1 = std::min((h + 1) * mcus, col_end) - col_begin;
           for (std::size_t bi = 0; bi < bins; ++bi) {
-            float* w_row = weights_.row(i * bins + bi);
-            for (std::size_t bj = 0; bj < mcus; ++bj) {
-              w_row[h * mcus + bj] = 0.0f;
-            }
+            float* w_row = w.row(i * bins + bi);
+            for (std::size_t j = j0; j < j1; ++j) w_row[j] = 0.0f;
           }
         }
       });
   // Element-level magnitude pruning rides on top of the block masks: the
   // keep-mask survives every weight recomputation until re-pruned.
-  if (!prune_keep_.empty()) {
-    float* w = weights_.data();
+  if (!prune_keep.empty()) {
+    const std::size_t hidden = config.hidden_units();
     constexpr std::size_t kMinWeightsPerBlock = 16384;
-    parallel::for_blocks(weights_.size(), kMinWeightsPerBlock,
-                         [&](std::size_t lo, std::size_t hi) {
-                           for (std::size_t i = lo; i < hi; ++i) {
-                             if (prune_keep_[i] == 0) w[i] = 0.0f;
-                           }
-                         });
+    parallel::for_blocks(
+        w.rows(), std::max<std::size_t>(1, kMinWeightsPerBlock / cols),
+        [&](std::size_t r0, std::size_t r1) {
+          for (std::size_t r = r0; r < r1; ++r) {
+            const std::uint8_t* keep =
+                prune_keep.data() + r * hidden + col_begin;
+            float* w_row = w.row(r);
+            for (std::size_t j = 0; j < cols; ++j) {
+              if (keep[j] == 0) w_row[j] = 0.0f;
+            }
+          }
+        });
   }
 }
 

@@ -202,4 +202,23 @@ class BcpnnLayer {
 void add_support_noise(util::Rng& rng, float noise_std,
                        tensor::MatrixF& values);
 
+/// The same restricted to the columns [col_begin, col_begin + cols) of
+/// a rows x row_width matrix: `values` holds just those columns (rows x
+/// cols, contiguous) and receives exactly the draws the whole matrix
+/// would, and the generator ends in the same state. Only the Box-Muller
+/// pairs that reach those columns are transformed.
+void add_support_noise(util::Rng& rng, float noise_std, float* values,
+                       std::size_t rows, std::size_t row_width,
+                       std::size_t col_begin, std::size_t cols);
+
+/// Zero what the receptive-field masks and the element keep-mask (empty:
+/// none) remove from `w`, which holds the hidden-unit columns
+/// [col_begin, col_begin + w.cols()) of a layer of `config`'s geometry —
+/// what recompute_weights() does to the whole weight matrix, applied to
+/// a column slice.
+void apply_weight_masks(const BcpnnConfig& config,
+                        const ReceptiveFieldMasks& masks,
+                        const std::vector<std::uint8_t>& prune_keep,
+                        std::size_t col_begin, tensor::MatrixF& w);
+
 }  // namespace streambrain::core

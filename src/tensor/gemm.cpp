@@ -151,9 +151,11 @@ std::size_t count_stored(const MatrixF& a, std::size_t limit) noexcept {
 }
 
 // Branch-free: every entry is written to the next free slot, which
-// advances only past stored ones, so the last write may land one slot
-// past the end. `stored` must be the stored entries of A.
-void fill_row_lists(const MatrixF& a, std::size_t stored, RowLists& out) {
+// advances only past stored ones (every entry with `keep_all`), so the
+// last write may land one slot past the end. `stored` must be the
+// entries of A that are kept.
+void fill_row_lists(const MatrixF& a, std::size_t stored, bool keep_all,
+                    RowLists& out) {
   const std::size_t m = a.rows();
   const std::size_t k = a.cols();
   out.begin.resize(m);
@@ -169,7 +171,7 @@ void fill_row_lists(const MatrixF& a, std::size_t stored, RowLists& out) {
     for (std::size_t p = 0; p < k; ++p) {
       cols[next] = static_cast<std::uint32_t>(p);
       values[next] = a_row[p];
-      next += is_stored(a_row[p]);
+      next += keep_all ? 1u : is_stored(a_row[p]);
     }
     out.end[i] = next;
   }
@@ -203,25 +205,32 @@ void transpose_row_lists(const RowLists& in, std::size_t cols_of_in,
 }
 
 // The row lists of op(A) in storage each thread reuses across calls (the
-// fan-out blocks only read it). `stored` must be the stored entries of A.
+// fan-out blocks only read it). `stored` must be the kept entries of A:
+// those other than +0.0, or all of them with `keep_all`.
 const RowLists& sparse_op_a(Transpose trans_a, const MatrixF& a,
-                            std::size_t stored) {
+                            std::size_t stored, bool keep_all = false) {
   thread_local RowLists op_a;
   thread_local RowLists staging;  // A's own rows when op(A) = A^T
   if (trans_a == Transpose::kNo) {
-    fill_row_lists(a, stored, op_a);
+    fill_row_lists(a, stored, keep_all, op_a);
   } else {
-    fill_row_lists(a, stored, staging);
+    fill_row_lists(a, stored, keep_all, staging);
     transpose_row_lists(staging, a.cols(), op_a);
   }
   return op_a;
 }
 
-bool all_finite(const MatrixF& b) noexcept {
+// Whether every entry of the rows x n window at `b` (leading dimension
+// ldb) is finite.
+bool all_finite(const float* b, std::size_t rows, std::size_t n,
+                std::size_t ldb) noexcept {
   std::uint32_t non_finite = 0;
-  for (const float v : b) {
-    non_finite |= (std::bit_cast<std::uint32_t>(v) & 0x7F800000u) ==
-                  0x7F800000u;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* row = b + r * ldb;
+    for (std::size_t j = 0; j < n; ++j) {
+      non_finite |= (std::bit_cast<std::uint32_t>(row[j]) & 0x7F800000u) ==
+                    0x7F800000u;
+    }
   }
   return non_finite == 0;
 }
@@ -263,7 +272,9 @@ void gemm_with(Schedule schedule, Transpose trans_a, Transpose trans_b,
       const auto limit = static_cast<std::size_t>(
           kSparseMaxDensity * static_cast<double>(d.m * d.k));
       stored = count_stored(a, limit);
-      if (stored <= limit && all_finite(b)) schedule = Schedule::kSparseA;
+      if (stored <= limit && all_finite(b.data(), 1, b.size(), b.size())) {
+        schedule = Schedule::kSparseA;
+      }
     }
   } else if (schedule == Schedule::kSparseA) {
     stored = count_stored(a, stored);
@@ -281,6 +292,42 @@ void gemm_with(Schedule schedule, Transpose trans_a, Transpose trans_b,
 void gemm(Transpose trans_a, Transpose trans_b, float alpha, const MatrixF& a,
           const MatrixF& b, float beta, MatrixF& c) {
   gemm_with(Schedule::kChoose, trans_a, trans_b, alpha, a, b, beta, c);
+}
+
+void segmented_gemm_tn(const MatrixF& a, const float* b, std::size_t ldb,
+                       std::size_t n, const std::vector<std::size_t>& seg_end,
+                       float* c, std::size_t ldc) {
+  const std::size_t m = a.cols();
+  const std::size_t k = a.rows();
+  if (seg_end.empty() || seg_end.back() != k ||
+      !std::is_sorted(seg_end.begin(), seg_end.end()) || ldb < n ||
+      ldc < n || k > kSparseMaxDim || m > kSparseMaxDim) {
+    throw std::invalid_argument("segmented_gemm_tn: bad segments or shape");
+  }
+  if (n == 0) return;
+  if (k == 0) {
+    for (std::size_t i = 0; i < m; ++i) std::fill_n(c + i * ldc, n, 0.0f);
+    return;
+  }
+  // Each segment's gemm sweeps its zero entries of A densely when B is
+  // not finite (0 * Inf is NaN), so then every entry is kept.
+  const bool keep_all = !all_finite(b, k, n, ldb);
+  const std::size_t stored = keep_all ? a.size() : count_stored(a, a.size());
+  const RowLists& rows = sparse_op_a(Transpose::kYes, a, stored, keep_all);
+  const KernelSet& kernels = active_kernels();
+  // Rows per fan-out block: at least kMinMaddsPerTask multiply-adds, as
+  // the index build already costs about one pass over A.
+  constexpr std::size_t kMinMaddsPerTask = std::size_t{1} << 17;
+  const std::size_t madds = std::max<std::size_t>(1, stored * n);
+  const std::size_t min_rows =
+      std::max<std::size_t>(1, m * kMinMaddsPerTask / madds);
+  parallel::for_blocks(m, min_rows, [&](std::size_t r0, std::size_t r1) {
+    kernels.gemm_sparse_a_segmented(rows.begin.data() + r0,
+                                    rows.end.data() + r0, rows.cols.data(),
+                                    rows.values.data(), b, ldb, c + r0 * ldc,
+                                    ldc, r1 - r0, n, seg_end.data(),
+                                    seg_end.size());
+  });
 }
 
 namespace detail {

@@ -314,6 +314,17 @@ inline void k_gemm_sparse_a(float alpha, const std::uint64_t* row_begin,
   }
 }
 
+// Segmented sparse-A rows with the FMA of gemm_row1 and k_gemm_sparse_a.
+inline void k_gemm_sparse_a_segmented(
+    const std::uint64_t* row_begin, const std::uint64_t* row_end,
+    const std::uint32_t* cols, const float* values, const float* b,
+    std::size_t ldb, float* c, std::size_t ldc, std::size_t mr,
+    std::size_t n, const std::size_t* seg_end, std::size_t segments) {
+  k_segmented_sparse_rows(
+      row_begin, row_end, cols, values, b, ldb, c, ldc, mr, n, seg_end,
+      segments, [](float x, float y, float z) { return std::fma(x, y, z); });
+}
+
 }  // namespace avx2_impl
 
 namespace detail {
@@ -338,6 +349,7 @@ const KernelSet* kernel_set_avx2() noexcept {
       &k_gemv,
       &k_gemm_block,
       &k_gemm_sparse_a,
+      &k_gemm_sparse_a_segmented,
       &k_momentum_update,
       &k_spmv,
       &k_spmm,

@@ -1,8 +1,9 @@
 #pragma once
 // Runtime-dispatched SIMD kernel subsystem. A KernelSet is a vtable of
-// the hot-loop primitives (gemm tile, sparse-A gemm rows, gemv, axpy,
-// dot, reductions, relu / threshold-mask, exp/log transforms, per-block
-// softmax); three sets exist, one per instruction tier:
+// the hot-loop primitives (gemm tile, sparse-A gemm rows and their
+// segmented form, gemv, axpy, dot, reductions, relu / threshold-mask,
+// exp/log transforms, per-block softmax); three sets exist, one per
+// instruction tier:
 //
 //   scalar : plain ordered loops, no reassociation — the correctness
 //            reference (and the only tier on non-x86 hosts)
@@ -85,6 +86,24 @@ struct KernelSet {
                         const float* b, std::size_t ldb, float* c,
                         std::size_t ldc, std::size_t mr, std::size_t n,
                         std::size_t k);
+  /// Segmented sparse-A GEMM rows: the k columns of A are cut into
+  /// `segments` ranges [seg_end[s - 1], seg_end[s]) (the first starts at
+  /// 0, the last ends at k), and
+  ///   C[mr x n] = sum over s ascending of A[:, segment s] * B[segment s, :]
+  /// (C is overwritten), each segment's product formed from +0.0 by
+  /// gemm_sparse_a's multiply-add (alpha = 1) and added to a total that
+  /// starts at +0.0. That is the per-segment gemm(beta = 0) followed by
+  /// an ordered `total += part`, bit for bit: a segment in which a row
+  /// stores no entry would add +0.0 and is skipped, and a part's sign of
+  /// zero cannot reach a total that starts at +0.0.
+  void (*gemm_sparse_a_segmented)(const std::uint64_t* row_begin,
+                                  const std::uint64_t* row_end,
+                                  const std::uint32_t* cols,
+                                  const float* values, const float* b,
+                                  std::size_t ldb, float* c, std::size_t ldc,
+                                  std::size_t mr, std::size_t n,
+                                  const std::size_t* seg_end,
+                                  std::size_t segments);
   /// Fused SGD momentum step (one pass over the three arrays):
   ///   v[i] = mu * v[i] - lr * (g[i] + l2 * w[i]);  w[i] += v[i]
   void (*momentum_update)(float mu, float lr, float l2, const float* g,

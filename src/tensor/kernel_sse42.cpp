@@ -49,6 +49,7 @@ const KernelSet* kernel_set_sse42() noexcept {
       &k_gemv,
       &k_gemm_block,
       &k_gemm_sparse_a,
+      &k_gemm_sparse_a_segmented,
       &k_momentum_update,
       &k_spmv,
       &k_spmm,

@@ -97,7 +97,13 @@ class Rng {
     return mean + stddev * normal();
   }
 
-  /// Runs body(lo, hi) over blocks that cover [0, n), serially or on a
+  /// True when the next normal() returns the cached second value of a
+  /// Box-Muller pair without drawing.
+  [[nodiscard]] bool has_cached_normal() const noexcept {
+    return has_cached_normal_;
+  }
+
+  /// Runs body(lo, hi) over disjoint blocks of [0, n), serially or on a
   /// thread pool (util does not depend on parallel::).
   using BlockRunner = std::function<void(
       std::size_t n, const std::function<void(std::size_t, std::size_t)>& body)>;
@@ -106,7 +112,11 @@ class Rng {
   /// calls would return, and the generator (cached second value included)
   /// ends where those calls leave it. The uniforms are drawn in order; the
   /// Box-Muller transforms of the pairs run through `run`, each pair on
-  /// its own, so any split gives the same bits.
+  /// its own, so any split gives the same bits. Pair p holds out[f + 2p]
+  /// and out[f + 2p + 1], with f = 1 when has_cached_normal() held
+  /// before the call (else 0). A runner that covers only some pairs
+  /// leaves the others' slots holding raw uniforms; every other value is
+  /// still exact.
   void fill_normal(double mean, double stddev, double* out, std::size_t n,
                    const BlockRunner& run);
 

@@ -1,21 +1,26 @@
 // Distributed-training suite: DistributedTrainer trains full models
 // (hidden BCPNN layer + BCPNN or SGD head, and deep stacks) data-parallel
 // over comm::, and with the default sync_cadence == 1 the result is
-// BIT-IDENTICAL at every rank count — the per-batch statistics are
-// computed per fixed virtual shard, every rank allgathers every shard's
-// statistics and adds them up in shard order, so no floating-point
-// association depends on the rank count. The golden tests pin the scalar
-// dispatch tier and compare rank-2 training against committed digests
-// under tests/golden/.
+// BIT-IDENTICAL at every rank count. Hidden layers are split by columns:
+// each rank updates the traces and weights of its own hidden units, and
+// the statistics are still summed per fixed virtual shard in shard
+// order; the heads allgather per-shard statistics. No floating-point
+// association depends on the rank count. The slice tests below pin the
+// per-column exactness the split relies on, in every kernel tier and
+// engine. The golden tests pin the scalar dispatch tier and compare
+// rank-2 training against committed digests under tests/golden/.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/distributed.hpp"
+#include "core/layer.hpp"
 #include "core/model.hpp"
 #include "core/network.hpp"
 #include "core/deep.hpp"
@@ -24,12 +29,16 @@
 #include "data/higgs.hpp"
 #include "encode/one_hot.hpp"
 #include "golden_util.hpp"
+#include "parallel/engine_registry.hpp"
 #include "tensor/kernel_set.hpp"
+#include "util/rng.hpp"
 
 namespace sc = streambrain::core;
 namespace st = streambrain::tensor;
 namespace sg = streambrain::testing;
 namespace scomm = streambrain::comm;
+namespace sp = streambrain::parallel;
+namespace su = streambrain::util;
 
 namespace {
 
@@ -176,7 +185,7 @@ TEST(Distributed, BcpnnHeadBitIdenticalAcrossRankCounts) {
 TEST(Distributed, SgdHeadBitIdenticalAcrossRankCounts) {
   const auto reference =
       train_snapshot(make_shallow(sc::HeadType::kSgd), {.ranks = 1});
-  for (const int ranks : {2, 4}) {
+  for (const int ranks : {2, 3, 4}) {
     const auto snap =
         train_snapshot(make_shallow(sc::HeadType::kSgd), {.ranks = ranks});
     expect_bit_identical(reference, snap,
@@ -186,7 +195,7 @@ TEST(Distributed, SgdHeadBitIdenticalAcrossRankCounts) {
 
 TEST(Distributed, DeepStackBitIdenticalAcrossRankCounts) {
   const auto reference = train_snapshot(make_deep(), {.ranks = 1});
-  for (const int ranks : {2, 4}) {
+  for (const int ranks : {2, 3, 4}) {
     const auto snap = train_snapshot(make_deep(), {.ranks = ranks});
     expect_bit_identical(reference, snap,
                          "deep stack, ranks=" + std::to_string(ranks));
@@ -234,33 +243,232 @@ TEST(Distributed, RingAlgorithmBitIdenticalToFlat) {
             flat_cadence.report.bytes_per_rank);
 }
 
-TEST(Distributed, ExactModeSendsOnlyOwnedShardStatistics) {
+TEST(Distributed, MoreRanksThanHiddenColumnsStillExact) {
+  // 3 hidden units over 4 ranks: rank 3 owns no column, yet it joins
+  // every support and trace gather, and the result must not move.
+  const auto tiny = [](sc::HeadType head) {
+    sc::Model model;
+    model.input(28, 10)
+        .hidden(1, 3, 0.4)
+        .classifier(2, head)
+        .set_option("epochs", 2)
+        .set_option("head_epochs", 2)
+        .set_option("batch_size", 32)
+        .compile("simd", /*seed=*/5);
+    return model;
+  };
+  for (const auto head : {sc::HeadType::kBcpnn, sc::HeadType::kSgd}) {
+    const auto reference = train_snapshot(tiny(head), {.ranks = 1});
+    const auto snap = train_snapshot(tiny(head), {.ranks = 4});
+    expect_bit_identical(reference, snap, "3 hidden units, 4 ranks");
+    EXPECT_EQ(snap.report.sync_count, reference.report.sync_count);
+  }
+}
+
+TEST(Distributed, ExactModeSendsSupportSlicesAndEpochTraces) {
   // make_shallow(kBcpnn): 280 one-hot inputs, 20 hidden units, 2 classes;
   // 260 rows in batches of 32 are 9 batches per epoch.
   constexpr std::uint64_t kInputs = 28 * 10;
   constexpr std::uint64_t kHidden = 20;
   constexpr std::uint64_t kClasses = 2;
+  constexpr std::uint64_t kRows = 260;
   constexpr std::uint64_t kBatches = 9;
-  constexpr std::uint64_t kHiddenBlock = kInputs + kHidden + kInputs * kHidden;
+  constexpr std::uint64_t kEpochs = 2;
   constexpr std::uint64_t kHeadBlock = kHidden + kClasses + kHidden * kClasses;
-  constexpr std::uint64_t kHiddenSyncs = 2 * kBatches;  // epochs = 2
-  constexpr std::uint64_t kHeadSyncs = 3 * kBatches;    // head_epochs = 3
+  constexpr std::uint64_t kHiddenSyncs = kEpochs * kBatches;
+  constexpr std::uint64_t kHeadSyncs = 3 * kBatches;  // head_epochs = 3
   constexpr std::uint64_t kShards = 8;
+  constexpr std::uint64_t kFloat = sizeof(float);
   for (const int ranks : {2, 3, 4}) {
     const auto snap = train_snapshot(make_shallow(sc::HeadType::kBcpnn),
                                      {.ranks = ranks,
                                       .virtual_shards = int{kShards}});
     const auto p = static_cast<std::uint64_t>(ranks);
+    // Hidden columns are split as evenly as possible; every exchange pads
+    // a rank's slice to the widest one.
+    const std::uint64_t widest = (kHidden + p - 1) / p;
+    // Per hidden batch each rank sends its rows x widest support slice
+    // to the P - 1 others: over an epoch, every row once.
+    const std::uint64_t support = (p - 1) * kEpochs * kRows * widest * kFloat;
+    // Per epoch end, its p_j and p_ij slices.
+    const std::uint64_t traces =
+        (p - 1) * kEpochs * (1 + kInputs) * widest * kFloat;
+    // The head still sends its ceil(S/P) owned shard blocks per batch.
     const std::uint64_t slots = (kShards + p - 1) / p;
-    // Each rank sends its ceil(S/P) owned shard blocks to the P - 1
-    // others, plus the two uint64 schedule-check allreduces.
-    const std::uint64_t expected =
-        (p - 1) * slots * sizeof(float) *
-            (kHiddenSyncs * kHiddenBlock + kHeadSyncs * kHeadBlock) +
-        2 * (p - 1) * sizeof(std::uint64_t);
+    const std::uint64_t head =
+        (p - 1) * slots * kHeadSyncs * kHeadBlock * kFloat;
+    // And the two uint64 schedule-check allreduces.
+    const std::uint64_t checks = 2 * (p - 1) * sizeof(std::uint64_t);
     EXPECT_EQ(snap.report.sync_count, kHiddenSyncs + kHeadSyncs);
-    EXPECT_EQ(snap.report.bytes_per_rank, expected)
+    EXPECT_EQ(snap.report.bytes_per_rank, support + traces + head + checks)
         << "ranks=" << ranks;
+  }
+}
+
+// --- Column slices: the per-column exactness the hidden split relies on ----
+
+namespace {
+
+/// Columns [c0, c0 + width) of `m`.
+st::MatrixF columns(const st::MatrixF& m, std::size_t c0, std::size_t width) {
+  st::MatrixF out(m.rows(), width);
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    std::copy_n(m.row(r) + c0, width, out.row(r));
+  }
+  return out;
+}
+
+void expect_same_bits(const st::MatrixF& expected, const st::MatrixF& actual,
+                      const std::string& what) {
+  ASSERT_EQ(expected.size(), actual.size()) << what;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(expected.data()[i]),
+              std::bit_cast<std::uint32_t>(actual.data()[i]))
+        << what << ": element " << i << " (" << expected.data()[i] << " vs "
+        << actual.data()[i] << ")";
+  }
+}
+
+std::vector<st::DispatchLevel> available_tiers() {
+  std::vector<st::DispatchLevel> tiers;
+  for (const auto level : {st::DispatchLevel::kScalar,
+                           st::DispatchLevel::kSse42,
+                           st::DispatchLevel::kAvx2}) {
+    if (st::kernel_set_for(level) != nullptr) tiers.push_back(level);
+  }
+  return tiers;
+}
+
+const std::vector<std::string> kEngines = {"naive", "simd", "device_sim"};
+
+// Slice boundaries off every SIMD width (4, 8, 16) and the AVX2 sparse
+// kernel's 64-column block, an empty slice, and the whole width.
+constexpr std::size_t kSliceWidth = 150;
+constexpr std::size_t kSlices[][2] = {{0, 150}, {0, 1},   {1, 7},  {7, 9},
+                                      {8, 16},  {13, 51}, {16, 65}, {63, 87},
+                                      {149, 1}, {75, 0}};
+
+}  // namespace
+
+TEST(DistributedSlices, SupportOnAColumnSliceMatchesTheFullSupport) {
+  su::Rng rng(17);
+  const FixtureData& data = fixture();
+  st::MatrixF one_hot(37, data.x_train.cols());
+  for (std::size_t r = 0; r < one_hot.rows(); ++r) {
+    std::copy_n(data.x_train.row(r), one_hot.cols(), one_hot.row(r));
+  }
+  st::MatrixF dense(37, one_hot.cols());
+  for (float& v : dense) v = static_cast<float>(rng.uniform(0.0, 1.0));
+  st::MatrixF w(one_hot.cols(), kSliceWidth);
+  for (float& v : w) v = static_cast<float>(rng.uniform(-3.0, 1.0));
+  std::vector<float> bias(kSliceWidth);
+  for (float& v : bias) v = static_cast<float>(rng.uniform(-2.0, 0.0));
+
+  for (const auto level : available_tiers()) {
+    const sg::ScopedDispatch pin(level);
+    for (const std::string& name : kEngines) {
+      auto engine = sp::EngineRegistry::instance().create(name);
+      for (const st::MatrixF* x : {&one_hot, &dense}) {
+        st::MatrixF full;
+        engine->support(*x, w, bias.data(), full);
+        for (const auto& slice : kSlices) {
+          st::MatrixF part;
+          engine->support(*x, columns(w, slice[0], slice[1]),
+                          bias.data() + slice[0], part);
+          expect_same_bits(columns(full, slice[0], slice[1]), part,
+                           name + " tier=" + st::dispatch_level_name(level) +
+                               (x == &dense ? " dense" : " one-hot") +
+                               " cols=" + std::to_string(slice[0]) + "+" +
+                               std::to_string(slice[1]));
+        }
+      }
+    }
+  }
+}
+
+TEST(DistributedSlices, MaskedWeightRecomputeOnAColumnSliceMatchesTheFull) {
+  sc::BcpnnConfig cfg;
+  cfg.hcus = 3;
+  cfg.mcus = 50;  // 150 hidden units; HCU borders at 50 and 100
+  su::Rng rng(23);
+  const sc::ReceptiveFieldMasks masks(cfg.hcus, cfg.input_hypercolumns,
+                                      cfg.mask_cardinality(), rng);
+  const std::size_t n_in = cfg.input_units();
+  std::vector<float> pi(n_in);
+  std::vector<float> pj(kSliceWidth);
+  st::MatrixF pij(n_in, kSliceWidth);
+  // Probabilities on both sides of the eps floors.
+  for (float& v : pi) v = static_cast<float>(rng.uniform(0.0, 0.2));
+  for (float& v : pj) v = static_cast<float>(rng.uniform(0.0, 0.02));
+  for (float& v : pij) v = static_cast<float>(rng.uniform(0.0, 2e-3));
+  pi[3] = 0.0f;
+  pj[5] = 1e-6f;
+  std::vector<std::uint8_t> keep(n_in * kSliceWidth);
+  for (auto& k : keep) k = rng.bernoulli(0.7) ? 1 : 0;
+
+  for (const auto level : available_tiers()) {
+    const sg::ScopedDispatch pin(level);
+    for (const std::string& name : kEngines) {
+      auto engine = sp::EngineRegistry::instance().create(name);
+      for (const bool pruned : {true, false}) {
+        const std::vector<std::uint8_t> keep_mask =
+            pruned ? keep : std::vector<std::uint8_t>{};
+        st::MatrixF full;
+        std::vector<float> full_bias(kSliceWidth);
+        engine->recompute_weights(pi.data(), pj.data(), pij, cfg.eps,
+                                  cfg.k_beta, full, full_bias.data());
+        sc::apply_weight_masks(cfg, masks, keep_mask, 0, full);
+        for (const auto& slice : kSlices) {
+          st::MatrixF part;
+          std::vector<float> part_bias(slice[1]);
+          engine->recompute_weights(pi.data(), pj.data() + slice[0],
+                                    columns(pij, slice[0], slice[1]),
+                                    cfg.eps, cfg.k_beta, part,
+                                    part_bias.data());
+          sc::apply_weight_masks(cfg, masks, keep_mask, slice[0], part);
+          const std::string what =
+              name + " tier=" + st::dispatch_level_name(level) +
+              (pruned ? " pruned" : "") +
+              " cols=" + std::to_string(slice[0]) + "+" +
+              std::to_string(slice[1]);
+          expect_same_bits(columns(full, slice[0], slice[1]), part, what);
+          for (std::size_t j = 0; j < slice[1]; ++j) {
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(full_bias[slice[0] + j]),
+                      std::bit_cast<std::uint32_t>(part_bias[j]))
+                << what << ": bias " << j;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DistributedSlices, ColumnNoiseMatchesTheWholeMatrixDraws) {
+  // A rank adds the draws of its own columns only, transforming just the
+  // Box-Muller pairs that reach them; the values and the generator's end
+  // state must be those of the whole-matrix call, odd widths and a
+  // generator holding a cached normal included.
+  for (const std::size_t width : {std::size_t{150}, std::size_t{37}}) {
+    for (const bool cached : {false, true}) {
+      for (const auto& slice : kSlices) {
+        if (slice[0] + slice[1] > width) continue;
+        const std::size_t rows = 9;
+        su::Rng whole_rng(99);
+        if (cached) whole_rng.normal();
+        su::Rng part_rng = whole_rng;
+        st::MatrixF whole(rows, width, 0.5f);
+        sc::add_support_noise(whole_rng, 0.7f, whole);
+        st::MatrixF part(rows, slice[1], 0.5f);
+        sc::add_support_noise(part_rng, 0.7f, part.data(), rows, width,
+                              slice[0], slice[1]);
+        const std::string what = "width=" + std::to_string(width) +
+                                 (cached ? " cached" : "") + " cols=" +
+                                 std::to_string(slice[0]) + "+" +
+                                 std::to_string(slice[1]);
+        expect_same_bits(columns(whole, slice[0], slice[1]), part, what);
+        EXPECT_EQ(whole_rng.normal(), part_rng.normal()) << what;
+      }
+    }
   }
 }
 
@@ -436,9 +644,16 @@ TEST(Distributed, CadenceModeSyncsLessAndStaysDeterministic) {
                                      relaxed);
   // Deterministic per (ranks, cadence): repeat runs are bit-identical.
   expect_bit_identical(first, second, "cadence repeatability");
-  // And it actually reduces synchronization traffic.
+  // It synchronizes less often than the exact mode's once per batch...
   EXPECT_LT(first.report.sync_count, exact_snap.report.sync_count);
-  EXPECT_LT(first.report.bytes_per_rank, exact_snap.report.bytes_per_rank);
+  // ...and its traffic falls with the cadence. (Each of its syncs moves
+  // whole trace matrices, so at this shape it sends more bytes than the
+  // exact mode's support slices do.)
+  relaxed.sync_cadence = 2;
+  const auto more_often = train_snapshot(make_shallow(sc::HeadType::kBcpnn),
+                                         relaxed);
+  EXPECT_LT(first.report.sync_count, more_often.report.sync_count);
+  EXPECT_LT(first.report.bytes_per_rank, more_often.report.bytes_per_rank);
 }
 
 TEST(Distributed, CadenceModeSgdHeadDeterministicAndKeepsMomentum) {

@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -620,6 +622,16 @@ void expect_sparse_matches_dense(const st::MatrixF& op_a,
   st::force_dispatch(original);
 }
 
+/// Pins the active kernel tier for a scope.
+struct ScopedTier {
+  explicit ScopedTier(st::DispatchLevel level)
+      : previous(st::force_dispatch(level)) {}
+  ~ScopedTier() { st::force_dispatch(previous); }
+  ScopedTier(const ScopedTier&) = delete;
+  ScopedTier& operator=(const ScopedTier&) = delete;
+  st::DispatchLevel previous;
+};
+
 st::MatrixF random_dense(std::size_t rows, std::size_t cols, su::Rng& rng) {
   st::MatrixF x(rows, cols, 0.0f);
   for (float& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
@@ -757,4 +769,152 @@ TEST(KernelProperty, SparseAGemmKeepsTheDenseSignOfZero) {
     }
   }
   EXPECT_GT(flipped, 0u);
+}
+
+// ---- Segmented trace product: per-shard gemm plus ordered combine -------
+
+namespace {
+
+/// The per-shard computation segmented_gemm_tn replaces: for each segment
+/// of A's rows, gemm(kYes, kNo, 1, A_s, B_s, 0, part), then total += part
+/// in segment order from +0.0. `b` is the k x n window at column `col0`
+/// of `b_full`.
+st::MatrixF per_segment_reference(const st::MatrixF& a,
+                                  const st::MatrixF& b_full,
+                                  std::size_t col0, std::size_t n,
+                                  const std::vector<std::size_t>& seg_end) {
+  st::MatrixF total(a.cols(), n, 0.0f);
+  std::size_t row = 0;
+  for (const std::size_t end : seg_end) {
+    const std::size_t rows = end - row;
+    st::MatrixF part(a.cols(), n, 0.0f);
+    if (rows > 0) {
+      st::MatrixF a_s(rows, a.cols());
+      st::MatrixF b_s(rows, n);
+      for (std::size_t r = 0; r < rows; ++r) {
+        std::copy_n(a.row(row + r), a.cols(), a_s.row(r));
+        std::copy_n(b_full.row(row + r) + col0, n, b_s.row(r));
+      }
+      st::gemm(st::Transpose::kYes, st::Transpose::kNo, 1.0f, a_s, b_s, 0.0f,
+               part);
+    }
+    for (std::size_t i = 0; i < total.size(); ++i) {
+      total.data()[i] += part.data()[i];
+    }
+    row = end;
+  }
+  return total;
+}
+
+/// Round-robin segments of a k-row batch over `shards` shards, as the
+/// distributed trainer packs them (shard v gets rows v, v + S, ...).
+std::vector<std::size_t> round_robin_segments(std::size_t k,
+                                              std::size_t shards) {
+  std::vector<std::size_t> seg_end(shards);
+  std::size_t end = 0;
+  for (std::size_t v = 0; v < shards; ++v) {
+    end += k / shards + (v < k % shards ? 1 : 0);
+    seg_end[v] = end;
+  }
+  return seg_end;
+}
+
+}  // namespace
+
+TEST(KernelProperty, SegmentedTraceProductMatchesPerSegmentGemmBitForBit) {
+  // One-hot and dense inputs against activation windows that start and
+  // end off every SIMD boundary; 8 shards, including batches too short
+  // to fill them (empty trailing segments), and a single segment.
+  struct Variant {
+    Code code;
+    double density;
+    const char* name;
+  };
+  const Variant variants[] = {{Code::kOneHot, 0.0, "one-hot"},
+                              {Code::kRandom, 0.3, "d=0.3"},
+                              {Code::kRandom, 1.0, "dense"}};
+  const std::size_t full_width = 300;
+  const std::size_t windows[][2] = {
+      {0, 300}, {0, 1},   {3, 7},   {8, 16},  {13, 17},
+      {150, 150}, {17, 64}, {31, 65}, {299, 1}, {64, 129}};
+  std::size_t counter = 0;
+  for (const st::DispatchLevel level : available_levels()) {
+    const ScopedTier pin(level);
+    for (const std::size_t k : {1UL, 5UL, 32UL, 64UL}) {
+      for (const std::size_t shards : {1UL, 8UL}) {
+        const std::vector<std::size_t> seg_end =
+            round_robin_segments(k, shards);
+        for (const Variant& variant : variants) {
+          ++counter;
+          su::Rng rng(counter * 104729);
+          const st::MatrixF a =
+              code_matrix(k, 280, variant.code, variant.density, rng);
+          st::MatrixF b(k, full_width, 0.0f);
+          for (float& v : b) v = static_cast<float>(rng.uniform(0.0, 1.0));
+          for (const auto& window : windows) {
+            const std::size_t col0 = window[0];
+            const std::size_t n = window[1];
+            const st::MatrixF expected =
+                per_segment_reference(a, b, col0, n, seg_end);
+            // Stride n + 3: the output window need not be contiguous.
+            std::vector<float> out(a.cols() * (n + 3), 7.0f);
+            st::segmented_gemm_tn(a, b.data() + col0, full_width, n, seg_end,
+                                  out.data(), n + 3);
+            st::MatrixF actual(a.cols(), n);
+            for (std::size_t i = 0; i < a.cols(); ++i) {
+              std::copy_n(out.data() + i * (n + 3), n, actual.row(i));
+            }
+            EXPECT_TRUE(same_bits(expected, actual))
+                << variant.name << " tier=" << st::dispatch_level_name(level)
+                << " k=" << k << " shards=" << shards << " cols=[" << col0
+                << ", " << col0 + n << ")";
+            if (::testing::Test::HasFailure()) return;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelProperty, SegmentedTraceProductKeepsNonFiniteProducts) {
+  // A NaN or Inf activation reaches every input row of its segment in the
+  // per-segment gemm (0 * Inf is NaN in the dense sweep), so the
+  // segmented product must not skip the zero entries there.
+  for (const float poison : {std::numeric_limits<float>::quiet_NaN(),
+                             std::numeric_limits<float>::infinity()}) {
+    for (const st::DispatchLevel level : available_levels()) {
+      const ScopedTier pin(level);
+      su::Rng rng(31);
+      const st::MatrixF a = code_matrix(32, 280, Code::kOneHot, 0.0, rng);
+      st::MatrixF b = random_dense(32, 40, rng);
+      b(9, 5) = poison;
+      const std::vector<std::size_t> seg_end = round_robin_segments(32, 8);
+      st::MatrixF actual(280, 40);
+      st::segmented_gemm_tn(a, b.data(), 40, 40, seg_end, actual.data(), 40);
+      const st::MatrixF expected = per_segment_reference(a, b, 0, 40, seg_end);
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        const float want = expected.data()[i];
+        const float got = actual.data()[i];
+        EXPECT_TRUE(std::isnan(want) ? std::isnan(got)
+                                     : std::bit_cast<std::uint32_t>(want) ==
+                                           std::bit_cast<std::uint32_t>(got))
+            << "tier=" << st::dispatch_level_name(level) << " element " << i;
+      }
+      for (std::size_t i = 0; i < 280; ++i) {
+        EXPECT_FALSE(std::isfinite(actual(i, 5))) << "input row " << i;
+      }
+    }
+  }
+}
+
+TEST(KernelProperty, SegmentedTraceProductRejectsBadSegments) {
+  const st::MatrixF a(8, 4, 1.0f);
+  const st::MatrixF b(8, 3, 1.0f);
+  st::MatrixF c(4, 3);
+  EXPECT_THROW(st::segmented_gemm_tn(a, b.data(), 3, 3, {4, 7}, c.data(), 3),
+               std::invalid_argument);  // does not end at k
+  EXPECT_THROW(st::segmented_gemm_tn(a, b.data(), 3, 3, {5, 4, 8}, c.data(), 3),
+               std::invalid_argument);  // not ascending
+  EXPECT_THROW(st::segmented_gemm_tn(a, b.data(), 2, 3, {8}, c.data(), 3),
+               std::invalid_argument);  // ldb < n
 }
