@@ -4,14 +4,13 @@
 // head) is ALL the traffic, with no gradient exchange and no backward
 // pass. This harness trains the same full model (hidden BCPNN layer +
 // supervised head) through core::DistributedTrainer on 1, 2, 4 and 8
-// simulated ranks, under both allreduce algorithms (flat rank-ordered vs
-// bandwidth-optimal chunked ring; they differ only with --cadence >= 2,
-// the exact mode allgathers), reports communication volume per epoch,
-// speedup and rank 0's compute / pack / exchange split, verifies the
-// learned model quality, and emits BENCH_scaling.json.
+// in-process ranks and on 2 and 4 ranks over shm and TCP, reports
+// communication volume per epoch, speedup and rank 0's compute / pack /
+// exchange split, verifies the learned model quality, and emits
+// BENCH_scaling.json.
 //
 //   bench_scaling [--out BENCH_scaling.json] [--events 2000] [--mcus 60]
-//                 [--epochs 5] [--head-epochs 8] [--cadence 1]
+//                 [--epochs 5] [--head-epochs 8]
 
 #include <cstdio>
 #include <fstream>
@@ -27,7 +26,6 @@ namespace {
 struct Result {
   int ranks = 1;
   std::string backend;
-  std::string algorithm;
   double seconds = 0.0;
   double speedup_vs_1rank = 1.0;
   std::uint64_t bytes_per_rank = 0;
@@ -67,14 +65,12 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.get_int("epochs", 5));
   const std::size_t head_epochs =
       static_cast<std::size_t>(args.get_int("head-epochs", 8));
-  const std::size_t cadence =
-      static_cast<std::size_t>(args.get_int("cadence", 1));
 
   std::printf(
       "=== Scaling: full-model data-parallel BCPNN over simulated ranks ===\n");
   std::printf(
-      "%zu events, 1 HCU x %zu MCUs + SGD head, %zu+%zu epochs, cadence %zu\n\n",
-      events, mcus, epochs, head_epochs, cadence);
+      "%zu events, 1 HCU x %zu MCUs + SGD head, %zu+%zu epochs\n\n", events,
+      mcus, epochs, head_epochs);
 
   data::SyntheticHiggsGenerator generator;
   const auto train = generator.generate(events);
@@ -87,22 +83,18 @@ int main(int argc, char** argv) {
   const auto x_test = encoder.transform(test.features);
 
   std::vector<Result> results;
-  const auto run_case = [&](comm::Backend backend,
-                            comm::AllreduceAlgorithm algorithm, int ranks,
+  const auto run_case = [&](comm::Backend backend, int ranks,
                             double seconds_1rank) {
     core::Model model = build_model(mcus, epochs, head_epochs);
     core::DistributedOptions options;
     options.ranks = ranks;
     options.backend = backend;
-    options.algorithm = algorithm;
-    options.sync_cadence = cadence;
     const auto report =
         core::fit_distributed(model, x_train, train.labels, options);
 
     Result result;
     result.ranks = ranks;
     result.backend = comm::backend_name(backend);
-    result.algorithm = comm::algorithm_name(algorithm);
     result.seconds = report.seconds;
     result.speedup_vs_1rank =
         report.seconds > 0.0 && seconds_1rank > 0.0
@@ -124,12 +116,11 @@ int main(int argc, char** argv) {
     return result;
   };
 
-  util::Table table({"backend", "algorithm", "ranks", "train time (s)",
+  util::Table table({"backend", "ranks", "train time (s)",
                      "compute/pack/exchange (s)", "speedup", "exchanges",
                      "MB/rank/epoch", "wire MB/rank", "test acc"});
   const auto add_row = [&table](const Result& result) {
-    table.add_row({result.backend, result.algorithm,
-                   std::to_string(result.ranks),
+    table.add_row({result.backend, std::to_string(result.ranks),
                    util::Table::num(result.seconds),
                    util::Table::num(result.compute_s) + " / " +
                        util::Table::num(result.pack_s) + " / " +
@@ -143,25 +134,21 @@ int main(int argc, char** argv) {
                    util::Table::pct(result.accuracy)});
   };
 
-  // Algorithm sweep over the in-process substrate (the schedule study).
+  // Rank sweep over the in-process substrate (the schedule study).
   double seconds_1rank = 0.0;
-  for (const auto algorithm : {comm::AllreduceAlgorithm::kFlat,
-                               comm::AllreduceAlgorithm::kRing}) {
-    for (const int ranks : {1, 2, 4, 8}) {
-      const Result result = run_case(comm::Backend::kInProcess, algorithm,
-                                     ranks, ranks == 1 ? 0.0 : seconds_1rank);
-      if (ranks == 1) seconds_1rank = result.seconds;
-      add_row(result);
-    }
+  for (const int ranks : {1, 2, 4, 8}) {
+    const Result result = run_case(comm::Backend::kInProcess, ranks,
+                                   ranks == 1 ? 0.0 : seconds_1rank);
+    if (ranks == 1) seconds_1rank = result.seconds;
+    add_row(result);
   }
 
   // Backend sweep: identical schedule and logical bytes, real wire cost
   // (shm segment / TCP loopback frames) on top. Speedups are against the
-  // 1-rank in-process ring row, which runs no transport at all.
+  // 1-rank in-process row, which runs no transport at all.
   for (const auto backend : {comm::Backend::kShm, comm::Backend::kTcp}) {
     for (const int ranks : {2, 4}) {
-      add_row(run_case(backend, comm::AllreduceAlgorithm::kRing, ranks,
-                       seconds_1rank));
+      add_row(run_case(backend, ranks, seconds_1rank));
     }
   }
   table.print();
@@ -174,13 +161,11 @@ int main(int argc, char** argv) {
   out << "  \"mcus\": " << mcus << ",\n";
   out << "  \"epochs\": " << epochs << ",\n";
   out << "  \"head_epochs\": " << head_epochs << ",\n";
-  out << "  \"sync_cadence\": " << cadence << ",\n";
   out << "  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Result& r = results[i];
-    out << "    {\"backend\": \"" << r.backend << "\", \"algorithm\": \""
-        << r.algorithm << "\", \"ranks\": " << r.ranks
-        << ", \"seconds\": " << r.seconds
+    out << "    {\"backend\": \"" << r.backend
+        << "\", \"ranks\": " << r.ranks << ", \"seconds\": " << r.seconds
         << ", \"speedup_vs_1rank\": " << r.speedup_vs_1rank
         << ", \"bytes_per_rank\": " << r.bytes_per_rank
         << ", \"total_bytes\": " << r.total_bytes
@@ -197,18 +182,15 @@ int main(int argc, char** argv) {
   std::printf(
       "\nshape check vs paper (Section II-B): communication is one\n"
       "exchange per batch — no gradient exchange, no backward pass.\n"
-      "Training is bit-identical at every rank count (cadence 1), so the\n"
-      "accuracy column is constant by construction. The exact mode splits\n"
-      "the hidden layer by columns: per batch of b rows each of P ranks\n"
-      "sends its b x ceil(H/P) support slice (H hidden units), (P-1) * b *\n"
-      "ceil(H/P) * 4 bytes, plus its trace slice once per epoch; the head\n"
-      "sends its ceil(S/P) owned shard blocks of B statistics floats (S =\n"
-      "virtual_shards, default 8), whatever the algorithm. --cadence k >= 2\n"
-      "averages whole trace matrices once per k batches, where\n"
-      "the ring algorithm moves 2*(P-1)/P*n bytes per rank vs the flat\n"
-      "path's (P-1)*n. The backend rows train the SAME bits over a real shm\n"
-      "segment / TCP loopback mesh; wire MB/rank adds the frame headers\n"
-      "the logical model omits.\n");
+      "Training is bit-identical at every rank count, so the accuracy\n"
+      "column is constant by construction. The trainer splits the hidden\n"
+      "layer by columns: per batch of b rows each of P ranks sends its\n"
+      "b x ceil(H/P) support slice (H hidden units), (P-1) * b * ceil(H/P)\n"
+      "* 4 bytes, plus its trace slice once per epoch; the head sends its\n"
+      "ceil(S/P) owned shard blocks of B statistics floats (S =\n"
+      "virtual_shards, default 8). The backend rows train the SAME bits\n"
+      "over a real shm segment / TCP loopback mesh; wire MB/rank adds the\n"
+      "frame headers the logical model omits.\n");
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
 }

@@ -3,8 +3,8 @@
 // Estimator surface. core::DistributedTrainer splits each hidden layer
 // by columns across ranks and exchanges one set of support rows per
 // batch, shards every head batch across ranks and exchanges its
-// statistics, and (with the default sync_cadence of 1) produces a model
-// that is bit-identical to single-rank training — on every backend.
+// statistics, and produces a model that is bit-identical to single-rank
+// training — on every backend.
 //
 // Two launch modes:
 //  * single process (default): fit_distributed() runs `--ranks` rank
@@ -23,7 +23,6 @@
 //
 // Usage:
 //   example_distributed_training [--ranks 4] [--events 2400] [--mcus 80]
-//                                [--ring] [--cadence 1]
 //                                [--backend inproc|shm|tcp]
 
 #include <cstdio>
@@ -52,17 +51,7 @@ int main(int argc, char** argv) {
   const std::size_t events =
       static_cast<std::size_t>(args.get_int("events", 2400));
   const std::size_t mcus = static_cast<std::size_t>(args.get_int("mcus", 80));
-  const std::size_t cadence =
-      static_cast<std::size_t>(args.get_int("cadence", 1));
-  const bool ring = args.has("ring");
   const bool multi_process = comm::env_world_configured();
-  // The exact mode allgathers support slices and head statistics; --ring
-  // only changes the cadence mode's parameter-averaging allreduce.
-  const std::string exchange =
-      cadence <= 1 ? std::string("per-batch allgather")
-                   : std::string(ring ? "ring" : "flat") +
-                         " allreduce every " + std::to_string(cadence) +
-                         " batches";
 
   // Shared data; the trainer shards each batch across the ranks. In the
   // multi-process mode every process builds the identical dataset and
@@ -90,9 +79,6 @@ int main(int argc, char** argv) {
   // ...then trained data-parallel instead of model.fit().
   core::DistributedOptions options;
   options.ranks = ranks;
-  options.algorithm = ring ? comm::AllreduceAlgorithm::kRing
-                           : comm::AllreduceAlgorithm::kFlat;
-  options.sync_cadence = cadence;
   options.backend = parse_backend(args.get_string("backend", "inproc"));
 
   if (multi_process) {
@@ -104,9 +90,8 @@ int main(int argc, char** argv) {
       std::printf(
           "=== Distributed BCPNN training (%d processes, %s transport) ===\n\n",
           comm.size(), comm::backend_name(comm.backend()));
-      std::printf("training %s on %zu events across %d ranks (%s)...\n",
-                  model.name().c_str(), train.size(), comm.size(),
-                  exchange.c_str());
+      std::printf("training %s on %zu events across %d ranks...\n",
+                  model.name().c_str(), train.size(), comm.size());
     }
     util::Stopwatch watch;
     core::DistributedTrainer trainer(options);
@@ -133,8 +118,8 @@ int main(int argc, char** argv) {
   std::printf(
       "=== Distributed BCPNN training (%d ranks, %s transport) ===\n\n",
       ranks, comm::backend_name(options.backend));
-  std::printf("training %s on %zu events across %d ranks (%s)...\n",
-              model.name().c_str(), train.size(), ranks, exchange.c_str());
+  std::printf("training %s on %zu events across %d ranks...\n",
+              model.name().c_str(), train.size(), ranks);
   const auto report = core::fit_distributed(model, x_train, train.labels,
                                             options);
   std::printf("  wall time            : %.2f s\n", report.seconds);
@@ -162,9 +147,8 @@ int main(int argc, char** argv) {
       "never exchange gradients. Each rank owns a slice of the hidden\n"
       "units: per batch it sends only its columns' support rows, and it\n"
       "updates only its columns' traces and weights; the heads exchange\n"
-      "small per-shard statistics, added up in a fixed order. With\n"
-      "sync_cadence 1 the trained model is bit-identical at ANY rank count\n"
-      "AND any backend; try --ranks 1, --backend shm, or sb_launch -n 4\n"
-      "and compare.\n");
+      "small per-shard statistics, added up in a fixed order. The trained\n"
+      "model is bit-identical at ANY rank count AND any backend; try\n"
+      "--ranks 1, --backend shm, or sb_launch -n 4 and compare.\n");
   return 0;
 }

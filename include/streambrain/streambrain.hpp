@@ -55,7 +55,6 @@
 
 // --- Message passing --------------------------------------------------------
 #include "comm/communicator.hpp"
-#include "comm/hierarchical.hpp"
 #include "comm/transport.hpp"
 
 // --- Tensor primitives ------------------------------------------------------
@@ -69,12 +68,10 @@
 #include "tensor/vecmath.hpp"
 
 // --- Data loading & encoding ------------------------------------------------
-#include "data/cifar_loader.hpp"
 #include "data/dataset.hpp"
 #include "data/digits.hpp"
 #include "data/higgs.hpp"
 #include "data/idx_loader.hpp"
-#include "data/patches.hpp"
 #include "encode/one_hot.hpp"
 #include "encode/quantile.hpp"
 

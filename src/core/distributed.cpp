@@ -43,44 +43,40 @@ util::Rng shard_noise_rng(std::uint64_t stream, std::size_t epoch,
   return util::Rng(mix(mix(mix(stream, epoch), batch), shard));
 }
 
-/// The rows of one global batch, split round-robin over the fixed virtual
-/// shards; only the shards owned by this rank are materialized. Rank r
-/// owns shards r, r + P, r + 2P, ... of a P-rank world.
+/// The rows of one global batch and their targets, split round-robin over
+/// the fixed virtual shards; only the shards owned by this rank are
+/// materialized. Rank r owns shards r, r + P, r + 2P, ... of a P-rank
+/// world.
 struct BatchShards {
   std::vector<tensor::MatrixF> x;            // per shard, owned only
-  std::vector<tensor::MatrixF> t;            // optional targets, owned only
+  std::vector<tensor::MatrixF> t;            // per shard, owned only
   std::vector<std::size_t> rows_per_shard;   // all shards
   std::size_t batch_rows = 0;
-  std::size_t local_rows = 0;
 };
 
 /// Gather the rows of batch positions [start, end) of `order` into the
 /// per-shard matrices (position i -> shard (i - start) % shards).
-void pack_batch(const tensor::MatrixF& src_x, const tensor::MatrixF* src_t,
+void pack_batch(const tensor::MatrixF& src_x, const tensor::MatrixF& src_t,
                 const std::vector<std::size_t>& order, std::size_t start,
                 std::size_t end, std::size_t shards, int rank, int world,
                 BatchShards& out) {
   out.x.resize(shards);
-  out.t.resize(src_t != nullptr ? shards : 0);
+  out.t.resize(shards);
   out.rows_per_shard.assign(shards, 0);
   out.batch_rows = end - start;
-  out.local_rows = 0;
   for (std::size_t i = start; i < end; ++i) {
     ++out.rows_per_shard[(i - start) % shards];
   }
   for (std::size_t v = static_cast<std::size_t>(rank); v < shards;
        v += static_cast<std::size_t>(world)) {
     const std::size_t rows = out.rows_per_shard[v];
-    out.local_rows += rows;
     out.x[v].resize(rows, src_x.cols());
-    if (src_t != nullptr) out.t[v].resize(rows, src_t->cols());
+    out.t[v].resize(rows, src_t.cols());
     std::size_t filled = 0;
     for (std::size_t i = start + v; i < end;
          i += shards, ++filled) {
       std::copy_n(src_x.row(order[i]), src_x.cols(), out.x[v].row(filled));
-      if (src_t != nullptr) {
-        std::copy_n(src_t->row(order[i]), src_t->cols(), out.t[v].row(filled));
-      }
+      std::copy_n(src_t.row(order[i]), src_t.cols(), out.t[v].row(filled));
     }
   }
 }
@@ -95,7 +91,6 @@ void pack_batch(const tensor::MatrixF& src_x, const tensor::MatrixF* src_t,
 struct ShardExchange {
   std::size_t shards = 0;
   std::size_t block = 0;
-  std::size_t rank = 0;
   std::size_t world = 1;
   std::size_t slots_per_rank = 0;
   std::vector<float> own;       // slots_per_rank * block
@@ -103,10 +98,9 @@ struct ShardExchange {
   std::vector<float> total;     // block
 
   void configure(std::size_t shard_count, std::size_t block_size,
-                 int rank_id, int world_size) {
+                 int world_size) {
     shards = shard_count;
     block = block_size;
-    rank = static_cast<std::size_t>(rank_id);
     world = static_cast<std::size_t>(world_size);
     slots_per_rank = (shards + world - 1) / world;
     own.assign(slots_per_rank * block, 0.0f);
@@ -129,20 +123,10 @@ struct ShardExchange {
     }
     std::fill(total.begin(), total.end(), 0.0f);
     for (std::size_t v = 0; v < shards; ++v) {
-      add_to_total(shard_slots +
-                   ((v % world) * slots_per_rank + v / world) * block);
+      const float* part =
+          shard_slots + ((v % world) * slots_per_rank + v / world) * block;
+      for (std::size_t i = 0; i < block; ++i) total[i] += part[i];
     }
-  }
-
-  /// Combine only the shards this rank owns (approximate mode).
-  void combine_owned() {
-    std::fill(total.begin(), total.end(), 0.0f);
-    for (std::size_t v = rank; v < shards; v += world) add_to_total(slot(v));
-  }
-
- private:
-  void add_to_total(const float* part) noexcept {
-    for (std::size_t i = 0; i < block; ++i) total[i] += part[i];
   }
 };
 
@@ -193,51 +177,24 @@ void apply_trace_ema(const float* totals, std::size_t rows, float alpha,
                 traces.mutable_pij().data(), n_in * n_out);
 }
 
-/// Pack / unpack traces into a flat buffer for cadence-mode averaging.
-void traces_to_buffer(const ProbabilityTraces& traces, float* out) {
-  std::copy(traces.pi().begin(), traces.pi().end(), out);
-  out += traces.pi().size();
-  std::copy(traces.pj().begin(), traces.pj().end(), out);
-  out += traces.pj().size();
-  std::copy_n(traces.pij().data(), traces.pij().size(), out);
-}
+// --- The synchronized batch loop (read-out heads) --------------------------
 
-void buffer_to_traces(const float* in, ProbabilityTraces& traces) {
-  std::copy_n(in, traces.mutable_pi().size(), traces.mutable_pi().data());
-  in += traces.pi().size();
-  std::copy_n(in, traces.mutable_pj().size(), traces.mutable_pj().data());
-  in += traces.pj().size();
-  std::copy_n(in, traces.pij().size(), traces.mutable_pij().data());
-}
-
-// --- The synchronized batch loop ------------------------------------------
-
-/// Where a virtual shard's rows sit in the schedule; keys its noise stream.
-struct ShardId {
-  std::size_t epoch = 0;
-  std::size_t batch = 0;
-  std::size_t shard = 0;
-};
-
-/// One synchronized training phase. run_sync_phase owns the data
-/// decomposition, the exchange, the exact/cadence branches and the
-/// ledger; a phase supplies only these four steps.
+/// One synchronized supervised training phase. run_sync_phase owns the
+/// data decomposition, the exchange and the ledger; a phase supplies only
+/// these three steps.
 struct SyncPhase {
   std::size_t epochs = 0;
   std::size_t batch_size = 0;
-  std::uint64_t stream = 0;  ///< schedule / noise rng tag
+  std::uint64_t stream = 0;  ///< schedule rng tag
   std::size_t block = 0;     ///< statistics floats per virtual shard
-  /// Partial statistics of one virtual shard's rows (`t`: its targets,
-  /// null in unsupervised phases) into `slot`.
-  std::function<void(const tensor::MatrixF& x, const tensor::MatrixF* t,
-                     const ShardId& id, float* slot)>
+  /// Partial statistics of one virtual shard's rows and targets into
+  /// `slot`.
+  std::function<void(const tensor::MatrixF& x, const tensor::MatrixF& t,
+                     float* slot)>
       shard_stats;
   /// Apply combined statistics of `rows` rows.
   std::function<void(const float* totals, std::size_t rows)> apply;
-  /// Cadence mode: average the replicated parameters across ranks.
-  std::function<void(comm::Communicator& comm)> average;
-  /// After every epoch, when the parameters are rank-identical (exact
-  /// every batch; cadence mode via the forced epoch-end average), so a
+  /// After every epoch, when the parameters are rank-identical, so a
   /// structural step makes the same decision on every rank.
   std::function<void(std::size_t epoch)> end_epoch;
 };
@@ -259,19 +216,18 @@ void timed(double& seconds, Step&& step) {
   seconds += watch.seconds();
 }
 
-/// One full phase (all epochs) over `x` with optional supervised targets.
-/// This is the core of the data-parallel trainer.
+/// One full phase (all epochs) over `x` and its supervised `targets`: one
+/// exchange of the owned shards' statistics per batch.
 void run_sync_phase(comm::Communicator& comm, const DistributedOptions& opts,
                     const SyncPhase& phase, const tensor::MatrixF& x,
-                    const tensor::MatrixF* targets, RankLedger& ledger) {
+                    const tensor::MatrixF& targets, RankLedger& ledger) {
   const int rank = comm.rank();
   const int world = comm.size();
   const std::size_t n = x.rows();
   const std::size_t shards = static_cast<std::size_t>(opts.virtual_shards);
-  const bool exact = opts.sync_cadence <= 1;
 
   ShardExchange exchange;
-  exchange.configure(shards, phase.block, rank, world);
+  exchange.configure(shards, phase.block, world);
 
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
@@ -296,9 +252,7 @@ void run_sync_phase(comm::Communicator& comm, const DistributedOptions& opts,
             std::fill_n(slot, phase.block, 0.0f);
             continue;
           }
-          phase.shard_stats(current.x[v],
-                            targets != nullptr ? &current.t[v] : nullptr,
-                            {epoch, b, v}, slot);
+          phase.shard_stats(current.x[v], current.t[v], slot);
         }
       });
 
@@ -312,27 +266,11 @@ void run_sync_phase(comm::Communicator& comm, const DistributedOptions& opts,
         });
       }
 
-      if (exact) {
-        // One exchange of the owned shards' statistics per batch.
-        timed(ledger.exchange_s, [&] { exchange.exchange(comm); });
-        timed(ledger.compute_s, [&] {
-          phase.apply(exchange.total.data(), current.batch_rows);
-        });
-        ++ledger.syncs;
-      } else {
-        // Approximate mode: local update now, parameter averaging on
-        // cadence (and always at the last batch of the epoch).
-        timed(ledger.exchange_s, [&] { exchange.combine_owned(); });
-        if (current.local_rows > 0) {
-          timed(ledger.compute_s, [&] {
-            phase.apply(exchange.total.data(), current.local_rows);
-          });
-        }
-        if ((b + 1) % opts.sync_cadence == 0 || b + 1 == batches) {
-          timed(ledger.exchange_s, [&] { phase.average(comm); });
-          ++ledger.syncs;
-        }
-      }
+      timed(ledger.exchange_s, [&] { exchange.exchange(comm); });
+      timed(ledger.compute_s, [&] {
+        phase.apply(exchange.total.data(), current.batch_rows);
+      });
+      ++ledger.syncs;
       std::swap(current, next);
     }
     if (phase.end_epoch) {
@@ -341,34 +279,7 @@ void run_sync_phase(comm::Communicator& comm, const DistributedOptions& opts,
   }
 }
 
-// --- Phases ----------------------------------------------------------------
-
-/// A trace-training phase over (x, a) with `n_in` x `n_out` traces: the
-/// totals replay the trace EMA and cadence mode averages the traces.
-/// `recompute` rebuilds the weights from the traces.
-SyncPhase trace_phase(ProbabilityTraces& traces,
-                      const std::function<void()>& recompute, float alpha,
-                      std::size_t n_in, std::size_t n_out,
-                      comm::AllreduceAlgorithm algorithm) {
-  SyncPhase phase;
-  phase.block = trace_block_size(n_in, n_out);
-  phase.apply = [&traces, recompute, alpha](const float* totals,
-                                            std::size_t rows) {
-    apply_trace_ema(totals, rows, alpha, traces);
-    recompute();
-  };
-  phase.average = [&traces, recompute, algorithm,
-                   block = phase.block](comm::Communicator& comm) {
-    std::vector<float> buffer(block);
-    traces_to_buffer(traces, buffer.data());
-    comm.allreduce_mean(buffer.data(), buffer.size(), algorithm);
-    buffer_to_traces(buffer.data(), traces);
-    recompute();
-  };
-  return phase;
-}
-
-// --- Column-split exact mode (hidden layers) --------------------------------
+// --- Column-split hidden layers ---------------------------------------------
 //
 // Rank r owns a contiguous range of the layer's hidden-unit columns and
 // keeps only their slice of p_j, p_ij, W and the bias; p_i is replicated.
@@ -466,10 +377,12 @@ void allgather_column_slices(comm::Communicator& comm, std::size_t n_out,
   }
 }
 
-/// The unsupervised phase of one hidden layer in exact mode, split by
-/// columns. The layer itself is brought up to date at every epoch end:
-/// its full traces are gathered and its weights recomputed before the
-/// plasticity and prune steps, so they decide identically on every rank.
+/// The unsupervised phase of one hidden layer, split by columns. Its
+/// schedule parameters all come from the layer's own config, so the same
+/// code drives shallow networks and every layer of a deep stack. The layer
+/// itself is brought up to date at every epoch end: its full traces are
+/// gathered and its weights recomputed before the plasticity and prune
+/// steps, so they decide identically on every rank.
 void run_column_split_phase(comm::Communicator& comm,
                             const DistributedOptions& opts,
                             parallel::Engine& engine, BcpnnLayer& layer,
@@ -598,49 +511,9 @@ void run_column_split_phase(comm::Communicator& comm,
   }
 }
 
-/// Unsupervised hidden-layer phase: schedule parameters all come from the
-/// layer's own config, so the same code drives shallow networks and every
-/// layer of a deep stack.
-void run_unsupervised_phase(comm::Communicator& comm,
-                            const DistributedOptions& opts,
-                            parallel::Engine& engine, BcpnnLayer& layer,
-                            const tensor::MatrixF& x, std::uint64_t stream,
-                            RankLedger& ledger) {
-  if (opts.sync_cadence <= 1) {
-    run_column_split_phase(comm, opts, engine, layer, x, stream, ledger);
-    return;
-  }
-  const BcpnnConfig& cfg = layer.config();
-  SyncPhase phase = trace_phase(
-      layer.mutable_traces(), [&layer] { layer.recompute_weights(); },
-      cfg.alpha, x.cols(), layer.hidden_units(), opts.algorithm);
-  phase.epochs = cfg.epochs;
-  phase.batch_size = cfg.batch_size;
-  phase.stream = mix(cfg.seed, stream);
-  tensor::MatrixF activations;
-  tensor::MatrixF pij_scratch;
-  phase.shard_stats = [&, noise_stream = phase.stream](
-                          const tensor::MatrixF& shard_x,
-                          const tensor::MatrixF*, const ShardId& id,
-                          float* slot) {
-    engine.support(shard_x, layer.weights(), layer.bias().data(),
-                   activations);
-    const float noise_std = cfg.noise_at(id.epoch);
-    if (noise_std > 0.0f) {
-      util::Rng noise_rng =
-          shard_noise_rng(noise_stream, id.epoch, id.batch, id.shard);
-      add_support_noise(noise_rng, noise_std, activations);
-    }
-    engine.softmax_hcu(activations, cfg.mcus, cfg.inverse_temperature);
-    accumulate_trace_stats(shard_x, activations, pij_scratch, slot);
-  };
-  phase.end_epoch = [&layer](std::size_t epoch) {
-    end_hidden_epoch(layer, epoch);
-  };
-  run_sync_phase(comm, opts, phase, x, nullptr, ledger);
-}
-
-/// Supervised BCPNN head phase (shallow kBcpnn head and deep heads).
+/// Supervised BCPNN head phase (shallow kBcpnn head and deep heads): the
+/// statistics are the trace block over (hidden, targets), and the combined
+/// totals replay the trace EMA before the weights are rebuilt.
 void run_bcpnn_head_phase(comm::Communicator& comm,
                           const DistributedOptions& opts,
                           BcpnnClassifier& head, const tensor::MatrixF& hidden,
@@ -648,25 +521,27 @@ void run_bcpnn_head_phase(comm::Communicator& comm,
                           std::size_t batch_size, std::uint64_t stream,
                           const std::function<void(std::size_t)>& end_epoch,
                           RankLedger& ledger) {
-  SyncPhase phase = trace_phase(
-      head.mutable_traces(), [&head] { head.recompute_weights(); },
-      head.alpha(), hidden.cols(), targets.cols(), opts.algorithm);
+  SyncPhase phase;
   phase.epochs = epochs;
   phase.batch_size = batch_size;
   phase.stream = stream;
+  phase.block = trace_block_size(hidden.cols(), targets.cols());
   tensor::MatrixF pij_scratch;
   phase.shard_stats = [&pij_scratch](const tensor::MatrixF& shard_x,
-                                     const tensor::MatrixF* shard_t,
-                                     const ShardId&, float* slot) {
-    accumulate_trace_stats(shard_x, *shard_t, pij_scratch, slot);
+                                     const tensor::MatrixF& shard_t,
+                                     float* slot) {
+    accumulate_trace_stats(shard_x, shard_t, pij_scratch, slot);
+  };
+  phase.apply = [&head](const float* totals, std::size_t rows) {
+    apply_trace_ema(totals, rows, head.alpha(), head.mutable_traces());
+    head.recompute_weights();
   };
   phase.end_epoch = end_epoch;
-  run_sync_phase(comm, opts, phase, hidden, &targets, ledger);
+  run_sync_phase(comm, opts, phase, hidden, targets, ledger);
 }
 
 /// SGD head phase: the statistics are the un-normalized gradient X^T (p - t)
-/// and its bias column sums; cadence mode averages weights and bias
-/// (momentum stays local).
+/// and its bias column sums.
 void run_sgd_head_phase(comm::Communicator& comm,
                         const DistributedOptions& opts, SgdHead& head,
                         const tensor::MatrixF& hidden,
@@ -687,12 +562,11 @@ void run_sgd_head_phase(comm::Communicator& comm,
   phase.stream = stream;
   phase.block = n_weights + classes;
   phase.shard_stats = [&](const tensor::MatrixF& shard_x,
-                          const tensor::MatrixF* shard_t, const ShardId&,
-                          float* slot) {
+                          const tensor::MatrixF& shard_t, float* slot) {
     head.predict(shard_x, probs);
     for (std::size_t r = 0; r < probs.rows(); ++r) {
       for (std::size_t c = 0; c < classes; ++c) {
-        probs(r, c) -= (*shard_t)(r, c);
+        probs(r, c) -= shard_t(r, c);
       }
     }
     tensor::gemm(tensor::Transpose::kYes, tensor::Transpose::kNo, 1.0f,
@@ -708,23 +582,11 @@ void run_sgd_head_phase(comm::Communicator& comm,
     tensor::scale(inv, bias_grad.data(), classes);
     head.apply_gradient(grad, bias_grad);
   };
-  phase.average = [&](comm::Communicator& world) {
-    std::vector<float> buffer(n_weights + classes);
-    std::copy_n(head.weights().data(), n_weights, buffer.data());
-    std::copy_n(head.bias().data(), classes, buffer.data() + n_weights);
-    world.allreduce_mean(buffer.data(), buffer.size(), opts.algorithm);
-    tensor::MatrixF averaged(n_feat, classes);
-    std::copy_n(buffer.data(), n_weights, averaged.data());
-    head.set_parameters(
-        averaged, std::vector<float>(
-                      buffer.begin() + static_cast<std::ptrdiff_t>(n_weights),
-                      buffer.end()));  // momentum kept
-  };
   phase.end_epoch = [&head, &end_epoch](std::size_t epoch) {
     head.end_epoch();
     end_epoch(epoch);
   };
-  run_sync_phase(comm, opts, phase, hidden, &targets, ledger);
+  run_sync_phase(comm, opts, phase, hidden, targets, ledger);
 }
 
 // --- Replica plumbing ------------------------------------------------------
@@ -735,7 +597,7 @@ void train_replica(comm::Communicator& comm, const DistributedOptions& opts,
   if (replica.hidden_specs().size() == 1) {
     Network& net = replica.network();
     const BcpnnConfig& cfg = net.config().bcpnn;
-    run_unsupervised_phase(comm, opts, net.engine(), net.mutable_hidden(), x,
+    run_column_split_phase(comm, opts, net.engine(), net.mutable_hidden(), x,
                            /*stream=*/1, ledger);
 
     tensor::MatrixF hidden;
@@ -766,7 +628,7 @@ void train_replica(comm::Communicator& comm, const DistributedOptions& opts,
     const DeepBcpnnConfig& cfg = deep.config();
     tensor::MatrixF current = x;
     for (std::size_t l = 0; l < deep.depth(); ++l) {
-      run_unsupervised_phase(comm, opts, deep.engine(), deep.mutable_layer(l),
+      run_column_split_phase(comm, opts, deep.engine(), deep.mutable_layer(l),
                              current, /*stream=*/16 + l, ledger);
       tensor::MatrixF next;
       deep.mutable_layer(l).forward(current, next);
@@ -842,10 +704,6 @@ DistributedTrainer::DistributedTrainer(DistributedOptions options)
     throw std::invalid_argument(
         "DistributedTrainer: virtual_shards must be >= 1");
   }
-  if (options_.sync_cadence < 1) {
-    throw std::invalid_argument(
-        "DistributedTrainer: sync_cadence must be >= 1");
-  }
 }
 
 DistributedReport DistributedTrainer::fit(Model& model,
@@ -864,7 +722,6 @@ DistributedReport DistributedTrainer::fit(Model& model,
   DistributedReport report;
   report.ranks = options_.ranks;
   report.backend = options_.backend;
-  report.algorithm = options_.algorithm;
   util::Stopwatch watch;
 
   // One independent replica per rank (own engine, identical initial

@@ -16,11 +16,10 @@
 // result is bit-identical at 1, 2, 3, 4, ... ranks as long as
 // `virtual_shards` stays fixed.
 //
-// In the exact mode (sync_cadence 1) a hidden layer is split by columns,
-// the sub-lattice ownership of Lin & Zheng's parallel Swendsen-Wang:
-// rank r owns a contiguous range of hidden units and keeps only their
-// slice of p_j, p_ij, the weights and the bias (p_i is replicated). Per
-// batch every rank computes and noises the support of its own columns
+// A hidden layer is split by columns, the sub-lattice ownership of Lin &
+// Zheng's parallel Swendsen-Wang: rank r owns a contiguous range of
+// hidden units and keeps only their slice of p_j, p_ij, the weights and
+// the bias (p_i is replicated). Per batch every rank computes and noises the support of its own columns
 // for all rows, one allgather assembles the full support rows (the only
 // per-batch exchange: batch x hidden floats in all), every rank runs the
 // per-hypercolumn softmax on full rows, and then updates the traces and
@@ -49,24 +48,9 @@ struct DistributedOptions {
   /// over a real shared-memory segment / loopback TCP mesh — results are
   /// bit-identical, only the wire (and wire_bytes accounting) changes.
   comm::Backend backend = comm::Backend::kInProcess;
-  /// Allreduce algorithm of the cadence mode's parameter averaging
-  /// (sync_cadence >= 2); changes its communication pattern and byte
-  /// accounting. The exact mode runs no allreduce, so this option does
-  /// not affect it.
-  comm::AllreduceAlgorithm algorithm = comm::AllreduceAlgorithm::kFlat;
-  /// Batches between synchronizations. 1 (default) is the exact mode:
-  /// one exchange per batch, bit-identical across rank counts. k >= 2 is
-  /// the approximate mode: ranks apply local updates and average
-  /// traces/weights every k-th batch (plus at every epoch end, so
-  /// structural plasticity stays rank-synchronized). Still deterministic,
-  /// but dependent on (ranks, sync_cadence). Each average moves whole
-  /// trace matrices, so it is not cheaper than the exact mode's support
-  /// slices.
-  std::size_t sync_cadence = 1;
-  /// Fixed data decomposition width for the exact mode. Results are
-  /// invariant to the rank count but NOT to this value; any rank count
-  /// (including ranks > virtual_shards, or more ranks than hidden units)
-  /// is supported. The hidden layers' traffic does not depend on it: per
+  /// Fixed data decomposition width. Results are invariant to the rank
+  /// count but NOT to this value; any rank count (including ranks >
+  /// virtual_shards, or more ranks than hidden units) is supported. The hidden layers' traffic does not depend on it: per
   /// batch of b rows each rank sends its b x w support slice to the P - 1
   /// others, with w = ceil(n_hidden / P) (narrower slices are padded),
   /// and per epoch its (1 + n_in) x w trace slice. The heads' does: with
@@ -79,7 +63,6 @@ struct DistributedOptions {
 struct DistributedReport {
   int ranks = 1;
   comm::Backend backend = comm::Backend::kInProcess;
-  comm::AllreduceAlgorithm algorithm = comm::AllreduceAlgorithm::kFlat;
   double seconds = 0.0;
   std::uint64_t bytes_per_rank = 0;    ///< logical network traffic, rank 0
   std::uint64_t total_bytes = 0;       ///< true sum over all ranks
@@ -97,9 +80,8 @@ struct DistributedReport {
 /// Full-model data-parallel trainer. Equivalent to `model.fit(x, labels)`
 /// in schedule shape (unsupervised hidden phase(s) with the same annealed
 /// noise, plasticity and prune cadence, then the supervised head), but
-/// sharded over `options.ranks` simulated ranks. With the default
-/// sync_cadence == 1 the trained state is bit-identical for every rank
-/// count.
+/// sharded over `options.ranks` simulated ranks. The trained state is
+/// bit-identical for every rank count.
 class DistributedTrainer {
  public:
   explicit DistributedTrainer(DistributedOptions options = {});

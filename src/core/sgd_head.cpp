@@ -118,18 +118,6 @@ void SgdHead::apply_gradient(const tensor::MatrixF& grad,
   apply_prune_mask();
 }
 
-void SgdHead::set_parameters(const tensor::MatrixF& weights,
-                             const std::vector<float>& bias) {
-  require_mutable("set_parameters");
-  if (weights.rows() != weights_.rows() || weights.cols() != weights_.cols() ||
-      bias.size() != bias_.size()) {
-    throw std::invalid_argument("SgdHead::set_parameters: shape mismatch");
-  }
-  weights_ = weights;
-  bias_ = bias;
-  apply_prune_mask();
-}
-
 void SgdHead::set_state(const tensor::MatrixF& weights,
                         const std::vector<float>& bias) {
   require_mutable("set_state");

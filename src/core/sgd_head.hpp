@@ -55,12 +55,6 @@ class SgdHead {
   /// Per-epoch learning-rate decay (train_epoch applies this internally).
   void end_epoch() noexcept { current_lr_ *= config_.learning_rate_decay; }
 
-  /// Overwrite parameters mid-training, keeping the momentum buffers
-  /// (unlike set_state, which zeroes them) — used by the cadence-mode
-  /// trainer when averaging replicated weights across ranks.
-  void set_parameters(const tensor::MatrixF& weights,
-                      const std::vector<float>& bias);
-
   // --- Structural pruning -------------------------------------------------
   /// Magnitude-based element pruning: keep the `density` fraction of
   /// weights with the largest |w| (deterministic tie-break), zero the

@@ -1,7 +1,7 @@
 // Tests for the comm substrate: MPI-semantics collectives over
 // threads-as-ranks, determinism, byte accounting, point-to-point,
-// world-poisoning fault semantics, real multi-process transports
-// (fork + shm / TCP), and the hierarchical two-level collectives.
+// world-poisoning fault semantics, and real multi-process transports
+// (fork + shm / TCP).
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include <string>
 
 #include "comm/communicator.hpp"
-#include "comm/hierarchical.hpp"
 #include "util/rng.hpp"
 
 // fork() inside a ThreadSanitizer'd gtest binary trips TSan's
@@ -500,80 +499,3 @@ TEST(Comm, TcpPeerProcessDeathPoisonsSurvivor) {
 }
 
 #endif  // !STREAMBRAIN_TSAN_BUILD
-
-// --- Hierarchical (intra-host shm + inter-host TCP) collectives -------------
-
-TEST(Comm, HierarchicalAllreduceAcrossHosts) {
-  sc::HierarchicalOptions options;  // 2 hosts × 2 ranks
-  sc::run_hierarchical(options, [](sc::HierarchicalComm& comm) {
-    EXPECT_EQ(comm.world(), 4);
-    EXPECT_EQ(comm.global_rank(), comm.host() * 2 + comm.local_rank());
-    EXPECT_EQ(comm.is_leader(), comm.local_rank() == 0);
-
-    std::vector<float> sum = {static_cast<float>(comm.global_rank() + 1)};
-    comm.allreduce(sum.data(), 1, sc::ReduceOp::kSum);
-    EXPECT_FLOAT_EQ(sum[0], 10.0f);  // 1+2+3+4
-
-    std::vector<float> lo = {static_cast<float>(comm.global_rank())};
-    std::vector<float> hi = {static_cast<float>(comm.global_rank())};
-    comm.allreduce(lo.data(), 1, sc::ReduceOp::kMin);
-    comm.allreduce(hi.data(), 1, sc::ReduceOp::kMax);
-    EXPECT_FLOAT_EQ(lo[0], 0.0f);  // exact: min/max associate freely
-    EXPECT_FLOAT_EQ(hi[0], 3.0f);
-
-    std::vector<float> mean = {static_cast<float>(10 * comm.global_rank())};
-    comm.allreduce_mean(mean.data(), 1);
-    EXPECT_FLOAT_EQ(mean[0], 15.0f);  // mean of 0,10,20,30
-
-    comm.barrier();
-  });
-}
-
-TEST(Comm, HierarchicalDisjointShardPayloadsAreExact) {
-  // Each rank's slots are disjoint and zero-padded, so every addition is
-  // x + 0 and the two-level association cannot change a single bit.
-  sc::HierarchicalOptions options;
-  options.hosts = 2;
-  options.ranks_per_host = 2;
-  sc::run_hierarchical(options, [](sc::HierarchicalComm& comm) {
-    std::vector<float> data(4, 0.0f);
-    data[static_cast<std::size_t>(comm.global_rank())] =
-        0.1f * static_cast<float>(comm.global_rank() + 1);
-    comm.allreduce(data.data(), data.size(), sc::ReduceOp::kSum);
-    for (int g = 0; g < 4; ++g) {
-      EXPECT_EQ(data[static_cast<std::size_t>(g)],
-                0.1f * static_cast<float>(g + 1));  // bitwise
-    }
-  });
-}
-
-TEST(Comm, HierarchicalRankFailureDoesNotHang) {
-  // Global rank 3 (host 1, non-leader) dies before contributing; every
-  // other rank is already inside the two-level allreduce. The failure
-  // must cascade through both levels and run_hierarchical must return.
-  sc::HierarchicalOptions options;
-  EXPECT_THROW(
-      sc::run_hierarchical(options,
-                           [](sc::HierarchicalComm& comm) {
-                             if (comm.global_rank() == 3) {
-                               throw std::runtime_error("rank 3 down");
-                             }
-                             std::vector<float> data(32, 1.0f);
-                             comm.allreduce(data.data(), data.size(),
-                                            sc::ReduceOp::kSum);
-                           }),
-      std::runtime_error);
-}
-
-TEST(Comm, HierarchicalSingleHostDegeneratesToIntra) {
-  sc::HierarchicalOptions options;
-  options.hosts = 1;
-  options.ranks_per_host = 3;
-  sc::run_hierarchical(options, [](sc::HierarchicalComm& comm) {
-    EXPECT_EQ(comm.world(), 3);
-    std::vector<float> data = {static_cast<float>(comm.global_rank() + 1)};
-    comm.allreduce(data.data(), 1, sc::ReduceOp::kSum);
-    EXPECT_FLOAT_EQ(data[0], 6.0f);
-    comm.barrier();
-  });
-}

@@ -1,10 +1,9 @@
 // Distributed-training suite: DistributedTrainer trains full models
 // (hidden BCPNN layer + BCPNN or SGD head, and deep stacks) data-parallel
-// over comm::, and with the default sync_cadence == 1 the result is
-// BIT-IDENTICAL at every rank count. Hidden layers are split by columns:
-// each rank updates the traces and weights of its own hidden units, and
-// the statistics are still summed per fixed virtual shard in shard
-// order; the heads allgather per-shard statistics. No floating-point
+// over comm::, and the result is BIT-IDENTICAL at every rank count.
+// Hidden layers are split by columns: each rank updates the traces and
+// weights of its own hidden units, and the statistics are still summed
+// per fixed virtual shard in shard order; the heads allgather per-shard statistics. No floating-point
 // association depends on the rank count. The slice tests below pin the
 // per-column exactness the split relies on, in every kernel tier and
 // engine. The golden tests pin the scalar dispatch tier and compare
@@ -213,34 +212,6 @@ TEST(Distributed, MoreRanksThanVirtualShardsStillExact) {
   narrow.ranks = 3;  // > virtual_shards
   const auto snap = train_snapshot(make_shallow(sc::HeadType::kBcpnn), narrow);
   expect_bit_identical(reference, snap, "ranks > virtual_shards");
-}
-
-TEST(Distributed, RingAlgorithmBitIdenticalToFlat) {
-  // The exact mode exchanges shard statistics by allgather and runs no
-  // allreduce, so the algorithm changes neither a bit nor a byte there.
-  const auto flat = train_snapshot(
-      make_shallow(sc::HeadType::kBcpnn),
-      {.ranks = 4, .algorithm = scomm::AllreduceAlgorithm::kFlat});
-  const auto ring = train_snapshot(
-      make_shallow(sc::HeadType::kBcpnn),
-      {.ranks = 4, .algorithm = scomm::AllreduceAlgorithm::kRing});
-  expect_bit_identical(flat, ring, "flat vs ring");
-  EXPECT_EQ(ring.report.bytes_per_rank, flat.report.bytes_per_rank);
-
-  // The cadence mode's parameter averaging is an allreduce: ring moves
-  // fewer bytes per rank at 4 ranks, 2*(P-1)/P*n vs (P-1)*n.
-  const auto flat_cadence = train_snapshot(
-      make_shallow(sc::HeadType::kBcpnn),
-      {.ranks = 4,
-       .algorithm = scomm::AllreduceAlgorithm::kFlat,
-       .sync_cadence = 2});
-  const auto ring_cadence = train_snapshot(
-      make_shallow(sc::HeadType::kBcpnn),
-      {.ranks = 4,
-       .algorithm = scomm::AllreduceAlgorithm::kRing,
-       .sync_cadence = 2});
-  EXPECT_LT(ring_cadence.report.bytes_per_rank,
-            flat_cadence.report.bytes_per_rank);
 }
 
 TEST(Distributed, MoreRanksThanHiddenColumnsStillExact) {
@@ -628,69 +599,6 @@ TEST(Distributed, FitRankValidatesInputs) {
                        });
 }
 
-// --- Cadence (approximate) mode --------------------------------------------
-
-TEST(Distributed, CadenceModeSyncsLessAndStaysDeterministic) {
-  sc::DistributedOptions exact;
-  exact.ranks = 2;
-  const auto exact_snap =
-      train_snapshot(make_shallow(sc::HeadType::kBcpnn), exact);
-
-  sc::DistributedOptions relaxed = exact;
-  relaxed.sync_cadence = 4;
-  const auto first = train_snapshot(make_shallow(sc::HeadType::kBcpnn),
-                                    relaxed);
-  const auto second = train_snapshot(make_shallow(sc::HeadType::kBcpnn),
-                                     relaxed);
-  // Deterministic per (ranks, cadence): repeat runs are bit-identical.
-  expect_bit_identical(first, second, "cadence repeatability");
-  // It synchronizes less often than the exact mode's once per batch...
-  EXPECT_LT(first.report.sync_count, exact_snap.report.sync_count);
-  // ...and its traffic falls with the cadence. (Each of its syncs moves
-  // whole trace matrices, so at this shape it sends more bytes than the
-  // exact mode's support slices do.)
-  relaxed.sync_cadence = 2;
-  const auto more_often = train_snapshot(make_shallow(sc::HeadType::kBcpnn),
-                                         relaxed);
-  EXPECT_LT(first.report.sync_count, more_often.report.sync_count);
-  EXPECT_LT(first.report.bytes_per_rank, more_often.report.bytes_per_rank);
-}
-
-TEST(Distributed, CadenceModeSgdHeadDeterministicAndKeepsMomentum) {
-  sc::DistributedOptions relaxed;
-  relaxed.ranks = 2;
-  relaxed.sync_cadence = 3;
-  const auto first = train_snapshot(make_shallow(sc::HeadType::kSgd), relaxed);
-  const auto second =
-      train_snapshot(make_shallow(sc::HeadType::kSgd), relaxed);
-  expect_bit_identical(first, second, "sgd cadence repeatability");
-
-  EXPECT_GT(first.report.sync_count, 0u);
-
-  // The cadence sync path must not zero the momentum buffers (that's the
-  // set_state contract, not set_parameters): after one real gradient
-  // step, overwriting parameters and then applying a ZERO gradient must
-  // still move the weights — pure retained velocity.
-  sc::SgdHead head(4, 2);
-  st::MatrixF grad(4, 2, 0.25f);
-  std::vector<float> bias_grad(2, 0.25f);
-  head.apply_gradient(grad, bias_grad);
-  const st::MatrixF frozen = head.weights();
-  head.set_parameters(frozen, head.bias());
-  st::MatrixF zero_grad(4, 2, 0.0f);
-  head.apply_gradient(zero_grad, {0.0f, 0.0f});
-  EXPECT_NE(head.weights()(0, 0), frozen(0, 0))
-      << "set_parameters must keep velocity; did a set_state sneak back in?";
-}
-
-TEST(Distributed, CadenceModeStillLearns) {
-  const FixtureData& data = fixture();
-  sc::Model model = make_shallow(sc::HeadType::kBcpnn);
-  sc::fit_distributed(model, data.x_train, data.y_train,
-                      {.ranks = 4, .sync_cadence = 2});
-  EXPECT_GT(model.evaluate(data.x_train, data.y_train), 0.55);
-}
-
 // --- Reports & validation --------------------------------------------------
 
 TEST(Distributed, ReportTotalBytesIsSumOfPerRankCounters) {
@@ -795,8 +703,6 @@ TEST(Distributed, CheckpointRoundTripAfterDistributedFit) {
 
 TEST(Distributed, ValidatesOptionsAndInputs) {
   EXPECT_THROW(sc::DistributedTrainer({.ranks = 0}), std::invalid_argument);
-  EXPECT_THROW(sc::DistributedTrainer({.sync_cadence = 0}),
-               std::invalid_argument);
   EXPECT_THROW(sc::DistributedTrainer({.virtual_shards = 0}),
                std::invalid_argument);
 

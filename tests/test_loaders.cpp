@@ -1,5 +1,5 @@
-// Tests for the IDX (MNIST) and CIFAR binary loaders: round-trips,
-// format validation, fallbacks.
+// Tests for the IDX (MNIST) binary loader: round-trips, format
+// validation, fallbacks.
 
 #include <gtest/gtest.h>
 
@@ -7,13 +7,10 @@
 #include <filesystem>
 #include <fstream>
 
-#include "data/cifar_loader.hpp"
 #include "data/digits.hpp"
 #include "data/idx_loader.hpp"
-#include "util/rng.hpp"
 
 namespace sd = streambrain::data;
-namespace su = streambrain::util;
 namespace fs = std::filesystem;
 
 // ----------------------------------------------------------------- IDX ----
@@ -100,94 +97,4 @@ TEST(Idx, FallbackWhenFilesMissing) {
       sd::load_mnist_or_synthetic("/no/such/images", "/no/such/labels", 25, 3);
   EXPECT_EQ(dataset.size(), 25u);
   EXPECT_EQ(dataset.dim(), sd::kDigitPixels);
-}
-
-// --------------------------------------------------------------- CIFAR ----
-
-namespace {
-
-sd::Dataset random_cifar_like(std::size_t n, std::uint64_t seed) {
-  su::Rng rng(seed);
-  sd::Dataset dataset;
-  dataset.features = streambrain::tensor::MatrixF(
-      n, sd::kCifarChannels * sd::kCifarPixels);
-  dataset.labels.resize(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    dataset.labels[r] = static_cast<int>(rng.uniform_index(10));
-    for (std::size_t p = 0; p < dataset.dim(); ++p) {
-      dataset.features(r, p) = static_cast<float>(rng.uniform());
-    }
-  }
-  return dataset;
-}
-
-}  // namespace
-
-TEST(Cifar, RoundTrip) {
-  const auto original = random_cifar_like(12, 17);
-  const std::string path = "/tmp/streambrain_cifar.bin";
-  sd::save_cifar10(original, path);
-  const auto loaded = sd::load_cifar(path);
-  ASSERT_EQ(loaded.size(), 12u);
-  ASSERT_EQ(loaded.dim(), 3072u);
-  EXPECT_EQ(loaded.labels, original.labels);
-  for (std::size_t p = 0; p < loaded.dim(); ++p) {
-    EXPECT_NEAR(loaded.features(0, p), original.features(0, p),
-                0.5f / 255.0f + 1e-4f);
-  }
-  fs::remove(path);
-}
-
-TEST(Cifar, GrayscaleCollapsesChannels) {
-  const auto original = random_cifar_like(5, 19);
-  const std::string path = "/tmp/streambrain_cifar_gray.bin";
-  sd::save_cifar10(original, path);
-  sd::CifarOptions options;
-  options.grayscale = true;
-  const auto loaded = sd::load_cifar(path, options);
-  ASSERT_EQ(loaded.dim(), 1024u);
-  // Spot-check the luminance formula on pixel 0 of row 0.
-  const float expected = 0.299f * original.features(0, 0) +
-                         0.587f * original.features(0, 1024) +
-                         0.114f * original.features(0, 2048);
-  EXPECT_NEAR(loaded.features(0, 0), expected, 2.0f / 255.0f);
-  fs::remove(path);
-}
-
-TEST(Cifar, MaxRowsLimitsLoad) {
-  const auto original = random_cifar_like(9, 23);
-  const std::string path = "/tmp/streambrain_cifar_max.bin";
-  sd::save_cifar10(original, path);
-  sd::CifarOptions options;
-  options.max_rows = 4;
-  EXPECT_EQ(sd::load_cifar(path, options).size(), 4u);
-  fs::remove(path);
-}
-
-TEST(Cifar, RejectsPartialRecords) {
-  const auto original = random_cifar_like(2, 29);
-  const std::string path = "/tmp/streambrain_cifar_bad.bin";
-  sd::save_cifar10(original, path);
-  fs::resize_file(path, fs::file_size(path) - 100);
-  EXPECT_THROW(sd::load_cifar(path), std::runtime_error);
-  fs::remove(path);
-}
-
-TEST(Cifar, Cifar100TwoLabelBytes) {
-  // Hand-build one CIFAR-100 record: coarse=7, fine=42, gray ramp pixels.
-  const std::string path = "/tmp/streambrain_cifar100.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    unsigned char header[2] = {7, 42};
-    out.write(reinterpret_cast<char*>(header), 2);
-    std::vector<unsigned char> pixels(3072, 100);
-    out.write(reinterpret_cast<char*>(pixels.data()), 3072);
-  }
-  sd::CifarOptions options;
-  options.cifar100 = true;
-  options.use_fine_labels = true;
-  EXPECT_EQ(sd::load_cifar(path, options).labels[0], 42);
-  options.use_fine_labels = false;
-  EXPECT_EQ(sd::load_cifar(path, options).labels[0], 7);
-  fs::remove(path);
 }
