@@ -1,12 +1,14 @@
 // Benchmarks Section II-B's scaling claim: BCPNN's local learning makes
-// data-parallel training communication-light — one exchange per batch
-// (support rows of the hidden layer's column slices, statistics of the
-// head) is ALL the traffic, with no gradient exchange and no backward
-// pass. This harness trains the same full model (hidden BCPNN layer +
-// supervised head) through core::DistributedTrainer on 1, 2, 4 and 8
-// in-process ranks and on 2 and 4 ranks over shm and TCP, reports
-// communication volume per epoch, speedup and rank 0's compute / pack /
-// exchange split, verifies the learned model quality, and emits
+// data-parallel training communication-light — one exchange per
+// hidden-layer batch (support rows of the hidden layer's column slices)
+// plus one trace-slice gather per epoch is ALL the traffic, with no
+// gradient exchange and no backward pass; the read-out head is trained
+// on every rank and sends nothing. This harness trains the same full
+// model (hidden BCPNN layer + supervised head) through
+// core::DistributedTrainer on 1, 2, 4 and 8 in-process ranks and on 2
+// and 4 ranks over shm and TCP, reports the communication volume per
+// rank for the whole fit, speedup and rank 0's compute / pack / exchange
+// split, verifies the learned model quality, and emits
 // BENCH_scaling.json.
 //
 //   bench_scaling [--out BENCH_scaling.json] [--events 2000] [--mcus 60]
@@ -32,13 +34,15 @@ struct Result {
   std::uint64_t total_bytes = 0;
   std::uint64_t wire_bytes_per_rank = 0;
   std::uint64_t total_wire_bytes = 0;
-  double mb_per_rank_per_epoch = 0.0;
+  double mb_per_rank = 0.0;
   std::size_t syncs = 0;
   double compute_s = 0.0;
   double pack_s = 0.0;
   double exchange_s = 0.0;
   double accuracy = 0.0;
 };
+
+constexpr std::size_t kBatchSize = 64;
 
 core::Model build_model(std::size_t mcus, std::size_t epochs,
                         std::size_t head_epochs) {
@@ -48,7 +52,7 @@ core::Model build_model(std::size_t mcus, std::size_t epochs,
       .classifier(2, core::HeadType::kSgd)
       .set_option("epochs", static_cast<double>(epochs))
       .set_option("head_epochs", static_cast<double>(head_epochs))
-      .set_option("batch_size", 64)
+      .set_option("batch_size", static_cast<double>(kBatchSize))
       .compile("simd", /*seed=*/42);
   return model;
 }
@@ -104,9 +108,7 @@ int main(int argc, char** argv) {
     result.total_bytes = report.total_bytes;
     result.wire_bytes_per_rank = report.wire_bytes_per_rank;
     result.total_wire_bytes = report.total_wire_bytes;
-    result.mb_per_rank_per_epoch =
-        static_cast<double>(report.bytes_per_rank) / 1e6 /
-        static_cast<double>(epochs + head_epochs);
+    result.mb_per_rank = static_cast<double>(report.bytes_per_rank) / 1e6;
     result.syncs = report.sync_count;
     result.compute_s = report.compute_s;
     result.pack_s = report.pack_s;
@@ -118,7 +120,7 @@ int main(int argc, char** argv) {
 
   util::Table table({"backend", "ranks", "train time (s)",
                      "compute/pack/exchange (s)", "speedup", "exchanges",
-                     "MB/rank/epoch", "wire MB/rank", "test acc"});
+                     "MB/rank", "wire MB/rank", "test acc"});
   const auto add_row = [&table](const Result& result) {
     table.add_row({result.backend, std::to_string(result.ranks),
                    util::Table::num(result.seconds),
@@ -127,7 +129,7 @@ int main(int argc, char** argv) {
                        util::Table::num(result.exchange_s),
                    util::Table::num(result.speedup_vs_1rank),
                    std::to_string(result.syncs),
-                   util::Table::num(result.mb_per_rank_per_epoch, 2),
+                   util::Table::num(result.mb_per_rank, 2),
                    util::Table::num(
                        static_cast<double>(result.wire_bytes_per_rank) / 1e6,
                        2),
@@ -161,6 +163,8 @@ int main(int argc, char** argv) {
   out << "  \"mcus\": " << mcus << ",\n";
   out << "  \"epochs\": " << epochs << ",\n";
   out << "  \"head_epochs\": " << head_epochs << ",\n";
+  out << "  \"train_rows\": " << x_train.rows() << ",\n";
+  out << "  \"batch_size\": " << kBatchSize << ",\n";
   out << "  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Result& r = results[i];
@@ -171,7 +175,7 @@ int main(int argc, char** argv) {
         << ", \"total_bytes\": " << r.total_bytes
         << ", \"wire_bytes_per_rank\": " << r.wire_bytes_per_rank
         << ", \"total_wire_bytes\": " << r.total_wire_bytes
-        << ", \"mb_per_rank_per_epoch\": " << r.mb_per_rank_per_epoch
+        << ", \"mb_per_rank\": " << r.mb_per_rank
         << ", \"syncs\": " << r.syncs << ", \"compute_s\": " << r.compute_s
         << ", \"pack_s\": " << r.pack_s << ", \"exchange_s\": " << r.exchange_s
         << ", \"accuracy\": " << r.accuracy
@@ -181,16 +185,17 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nshape check vs paper (Section II-B): communication is one\n"
-      "exchange per batch — no gradient exchange, no backward pass.\n"
-      "Training is bit-identical at every rank count, so the accuracy\n"
-      "column is constant by construction. The trainer splits the hidden\n"
-      "layer by columns: per batch of b rows each of P ranks sends its\n"
-      "b x ceil(H/P) support slice (H hidden units), (P-1) * b * ceil(H/P)\n"
-      "* 4 bytes, plus its trace slice once per epoch; the head sends its\n"
-      "ceil(S/P) owned shard blocks of B statistics floats (S =\n"
-      "virtual_shards, default 8). The backend rows train the SAME bits\n"
-      "over a real shm segment / TCP loopback mesh; wire MB/rank adds the\n"
-      "frame headers the logical model omits.\n");
+      "exchange per hidden-layer batch — no gradient exchange, no\n"
+      "backward pass. Training is bit-identical at every rank count, so\n"
+      "the accuracy column is constant by construction. The trainer\n"
+      "splits the hidden layer by columns: per batch of b rows each of P\n"
+      "ranks sends its b x ceil(H/P) support slice (H hidden units),\n"
+      "(P-1) * b * ceil(H/P) * 4 bytes, plus its trace slice once per\n"
+      "epoch. The SGD head is trained whole on every rank and sends\n"
+      "nothing, so head epochs add no traffic. MB/rank and wire MB/rank\n"
+      "both cover the whole fit; the backend rows train the SAME bits\n"
+      "over a real shm segment / TCP loopback mesh, and wire MB/rank adds\n"
+      "the frame headers the logical model omits.\n");
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
 }

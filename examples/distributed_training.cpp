@@ -2,8 +2,8 @@
 // the usage pattern of StreamBrain's MPI backend, extended to the whole
 // Estimator surface. core::DistributedTrainer splits each hidden layer
 // by columns across ranks and exchanges one set of support rows per
-// batch, shards every head batch across ranks and exchanges its
-// statistics, and produces a model that is bit-identical to single-rank
+// batch, trains the small read-out head whole on every rank without any
+// exchange, and produces a model that is bit-identical to single-rank
 // training — on every backend.
 //
 // Two launch modes:
@@ -18,8 +18,8 @@
 //
 // The schedule is Model::fit's — annealed noise, per-epoch plasticity,
 // the prune cadence, then the head — so a model configured for serial
-// training trains the same way here; only support rows, trace slices
-// and head statistics are exchanged across ranks.
+// training trains the same way here; only the hidden layers' support
+// rows and trace slices are exchanged across ranks.
 //
 // Usage:
 //   example_distributed_training [--ranks 4] [--events 2400] [--mcus 80]
@@ -53,9 +53,9 @@ int main(int argc, char** argv) {
   const std::size_t mcus = static_cast<std::size_t>(args.get_int("mcus", 80));
   const bool multi_process = comm::env_world_configured();
 
-  // Shared data; the trainer shards each batch across the ranks. In the
-  // multi-process mode every process builds the identical dataset and
-  // model — only the comm substrate differs.
+  // Shared data; the trainer splits each hidden layer across the ranks.
+  // In the multi-process mode every process builds the identical dataset
+  // and model — only the comm substrate differs.
   data::SyntheticHiggsGenerator generator;
   auto dataset = generator.generate(events + events / 3);
   util::Rng rng(99);
@@ -99,7 +99,8 @@ int main(int argc, char** argv) {
         trainer.fit_rank(comm, model, x_train, train.labels);
     if (comm.rank() == 0) {
       std::printf("  wall time            : %.2f s\n", watch.seconds());
-      std::printf("  exchanges            : %zu\n", sync_count);
+      std::printf("  exchanges            : %zu (hidden layer)\n",
+                  sync_count);
       std::printf("  logical traffic/rank : %.1f MB\n",
                   static_cast<double>(comm.bytes_sent()) / 1e6);
       std::printf("  wire traffic/rank    : %.1f MB\n",
@@ -127,7 +128,7 @@ int main(int argc, char** argv) {
   std::printf("    pack (rank 0)      : %.2f s\n", report.pack_s);
   std::printf("    exchange (rank 0)  : %.2f s (collective, wait, unpack)\n",
               report.exchange_s);
-  std::printf("  exchanges            : %zu (one per batch)\n",
+  std::printf("  exchanges            : %zu (one per hidden-layer batch)\n",
               report.sync_count);
   std::printf("  logical traffic/rank : %.1f MB\n",
               static_cast<double>(report.bytes_per_rank) / 1e6);
@@ -146,8 +147,8 @@ int main(int argc, char** argv) {
       "\nwhy this scales (paper Section II-B): learning is local, so ranks\n"
       "never exchange gradients. Each rank owns a slice of the hidden\n"
       "units: per batch it sends only its columns' support rows, and it\n"
-      "updates only its columns' traces and weights; the heads exchange\n"
-      "small per-shard statistics, added up in a fixed order. The trained\n"
+      "updates only its columns' traces and weights. The small read-out\n"
+      "head is trained whole on every rank and sends nothing. The trained\n"
       "model is bit-identical at ANY rank count AND any backend; try\n"
       "--ranks 1, --backend shm, or sb_launch -n 4 and compare.\n");
   return 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -43,113 +42,6 @@ util::Rng shard_noise_rng(std::uint64_t stream, std::size_t epoch,
   return util::Rng(mix(mix(mix(stream, epoch), batch), shard));
 }
 
-/// The rows of one global batch and their targets, split round-robin over
-/// the fixed virtual shards; only the shards owned by this rank are
-/// materialized. Rank r owns shards r, r + P, r + 2P, ... of a P-rank
-/// world.
-struct BatchShards {
-  std::vector<tensor::MatrixF> x;            // per shard, owned only
-  std::vector<tensor::MatrixF> t;            // per shard, owned only
-  std::vector<std::size_t> rows_per_shard;   // all shards
-  std::size_t batch_rows = 0;
-};
-
-/// Gather the rows of batch positions [start, end) of `order` into the
-/// per-shard matrices (position i -> shard (i - start) % shards).
-void pack_batch(const tensor::MatrixF& src_x, const tensor::MatrixF& src_t,
-                const std::vector<std::size_t>& order, std::size_t start,
-                std::size_t end, std::size_t shards, int rank, int world,
-                BatchShards& out) {
-  out.x.resize(shards);
-  out.t.resize(shards);
-  out.rows_per_shard.assign(shards, 0);
-  out.batch_rows = end - start;
-  for (std::size_t i = start; i < end; ++i) {
-    ++out.rows_per_shard[(i - start) % shards];
-  }
-  for (std::size_t v = static_cast<std::size_t>(rank); v < shards;
-       v += static_cast<std::size_t>(world)) {
-    const std::size_t rows = out.rows_per_shard[v];
-    out.x[v].resize(rows, src_x.cols());
-    out.t[v].resize(rows, src_t.cols());
-    std::size_t filled = 0;
-    for (std::size_t i = start + v; i < end;
-         i += shards, ++filled) {
-      std::copy_n(src_x.row(order[i]), src_x.cols(), out.x[v].row(filled));
-      std::copy_n(src_t.row(order[i]), src_t.cols(), out.t[v].row(filled));
-    }
-  }
-}
-
-/// Per-shard statistics of one phase and their fixed-order combine. The
-/// statistics of this rank's k-th owned shard (shard rank + k * world)
-/// live in slot k of `own`, ceil(shards / world) slots long; a rank
-/// owning fewer shards leaves its last slot unused. One allgather
-/// concatenates every rank's slots in rank order, so shard v arrives in
-/// slot (v % world) * slots_per_rank + v / world of `gathered`, and every
-/// rank adds the shards up left to right in shard order.
-struct ShardExchange {
-  std::size_t shards = 0;
-  std::size_t block = 0;
-  std::size_t world = 1;
-  std::size_t slots_per_rank = 0;
-  std::vector<float> own;       // slots_per_rank * block
-  std::vector<float> gathered;  // world * slots_per_rank * block
-  std::vector<float> total;     // block
-
-  void configure(std::size_t shard_count, std::size_t block_size,
-                 int world_size) {
-    shards = shard_count;
-    block = block_size;
-    world = static_cast<std::size_t>(world_size);
-    slots_per_rank = (shards + world - 1) / world;
-    own.assign(slots_per_rank * block, 0.0f);
-    total.assign(block, 0.0f);
-  }
-
-  /// This rank's slot for an owned `shard`.
-  [[nodiscard]] float* slot(std::size_t shard) noexcept {
-    return own.data() + (shard / world) * block;
-  }
-
-  /// Exchange every rank's owned slots, then combine all shards in fixed
-  /// order. A single rank owns every shard in order already.
-  void exchange(comm::Communicator& comm) {
-    const float* shard_slots = own.data();
-    if (world > 1) {
-      gathered.resize(world * own.size());  // allocates on the first batch
-      comm.allgather(own.data(), own.size(), gathered.data());
-      shard_slots = gathered.data();
-    }
-    std::fill(total.begin(), total.end(), 0.0f);
-    for (std::size_t v = 0; v < shards; ++v) {
-      const float* part =
-          shard_slots + ((v % world) * slots_per_rank + v / world) * block;
-      for (std::size_t i = 0; i < block; ++i) total[i] += part[i];
-    }
-  }
-};
-
-// --- Trace-based updates (hidden layers and the BCPNN head) ----------------
-
-/// Stat block layout for a trace update over (x, a): col-sums of x, col-
-/// sums of a, and x^T a, concatenated.
-std::size_t trace_block_size(std::size_t n_in, std::size_t n_out) noexcept {
-  return n_in + n_out + n_in * n_out;
-}
-
-void accumulate_trace_stats(const tensor::MatrixF& x, const tensor::MatrixF& a,
-                            tensor::MatrixF& pij_scratch, float* slot) {
-  const std::size_t n_in = x.cols();
-  const std::size_t n_out = a.cols();
-  tensor::col_sums(x, slot);
-  tensor::col_sums(a, slot + n_in);
-  pij_scratch.resize(n_in, n_out);
-  tensor::gemm(tensor::Transpose::kYes, tensor::Transpose::kNo, 1.0f, x, a,
-               0.0f, pij_scratch);
-  std::copy_n(pij_scratch.data(), n_in * n_out, slot + n_in + n_out);
-}
-
 /// p[i] += alpha * (sums[i] * inv - p[i]), the engine's trace EMA
 /// replayed from externally combined batch statistics, identically on
 /// every rank.
@@ -163,151 +55,6 @@ void ema_from_sums(const float* sums, float inv, float alpha, float* p,
       p[i] += alpha * (sums[i] * inv - p[i]);
     }
   });
-}
-
-/// The trace EMA of `rows` rows from a combined statistics block.
-void apply_trace_ema(const float* totals, std::size_t rows, float alpha,
-                     ProbabilityTraces& traces) {
-  const float inv = 1.0f / static_cast<float>(rows);
-  const std::size_t n_in = traces.pi().size();
-  const std::size_t n_out = traces.pj().size();
-  ema_from_sums(totals, inv, alpha, traces.mutable_pi().data(), n_in);
-  ema_from_sums(totals + n_in, inv, alpha, traces.mutable_pj().data(), n_out);
-  ema_from_sums(totals + n_in + n_out, inv, alpha,
-                traces.mutable_pij().data(), n_in * n_out);
-}
-
-// --- The synchronized batch loop (read-out heads) --------------------------
-
-/// One synchronized supervised training phase. run_sync_phase owns the
-/// data decomposition, the exchange and the ledger; a phase supplies only
-/// these three steps.
-struct SyncPhase {
-  std::size_t epochs = 0;
-  std::size_t batch_size = 0;
-  std::uint64_t stream = 0;  ///< schedule rng tag
-  std::size_t block = 0;     ///< statistics floats per virtual shard
-  /// Partial statistics of one virtual shard's rows and targets into
-  /// `slot`.
-  std::function<void(const tensor::MatrixF& x, const tensor::MatrixF& t,
-                     float* slot)>
-      shard_stats;
-  /// Apply combined statistics of `rows` rows.
-  std::function<void(const float* totals, std::size_t rows)> apply;
-  /// After every epoch, when the parameters are rank-identical, so a
-  /// structural step makes the same decision on every rank.
-  std::function<void(std::size_t epoch)> end_epoch;
-};
-
-/// Rank-local account of a training run: exchanges issued and where the
-/// phase loops spent their wall time.
-struct RankLedger {
-  std::size_t syncs = 0;
-  double compute_s = 0.0;   ///< support, statistics, updates, epoch ends
-  double pack_s = 0.0;      ///< gathering shard rows
-  double exchange_s = 0.0;  ///< collectives, waits, unpacking, combines
-};
-
-/// Run `step` and add its wall time to `seconds`.
-template <typename Step>
-void timed(double& seconds, Step&& step) {
-  const util::Stopwatch watch;
-  step();
-  seconds += watch.seconds();
-}
-
-/// One full phase (all epochs) over `x` and its supervised `targets`: one
-/// exchange of the owned shards' statistics per batch.
-void run_sync_phase(comm::Communicator& comm, const DistributedOptions& opts,
-                    const SyncPhase& phase, const tensor::MatrixF& x,
-                    const tensor::MatrixF& targets, RankLedger& ledger) {
-  const int rank = comm.rank();
-  const int world = comm.size();
-  const std::size_t n = x.rows();
-  const std::size_t shards = static_cast<std::size_t>(opts.virtual_shards);
-
-  ShardExchange exchange;
-  exchange.configure(shards, phase.block, world);
-
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  util::Rng order_rng(mix(phase.stream, 0x5A55C0DEULL));
-  BatchShards current;
-  BatchShards next;
-
-  const std::size_t batches = (n + phase.batch_size - 1) / phase.batch_size;
-  for (std::size_t epoch = 0; epoch < phase.epochs; ++epoch) {
-    order_rng.shuffle(order);
-    timed(ledger.pack_s, [&] {
-      pack_batch(x, targets, order, 0, std::min(phase.batch_size, n), shards,
-                 rank, world, current);
-    });
-    for (std::size_t b = 0; b < batches; ++b) {
-      timed(ledger.compute_s, [&] {
-        for (std::size_t v = static_cast<std::size_t>(rank); v < shards;
-             v += static_cast<std::size_t>(world)) {
-          float* slot = exchange.slot(v);
-          if (current.rows_per_shard[v] == 0) {
-            // A short last batch leaves this shard empty.
-            std::fill_n(slot, phase.block, 0.0f);
-            continue;
-          }
-          phase.shard_stats(current.x[v], current.t[v], slot);
-        }
-      });
-
-      // Gather the next batch's shard rows before this batch's exchange.
-      const std::size_t next_start = (b + 1) * phase.batch_size;
-      if (next_start < n) {
-        timed(ledger.pack_s, [&] {
-          pack_batch(x, targets, order, next_start,
-                     std::min(next_start + phase.batch_size, n), shards, rank,
-                     world, next);
-        });
-      }
-
-      timed(ledger.exchange_s, [&] { exchange.exchange(comm); });
-      timed(ledger.compute_s, [&] {
-        phase.apply(exchange.total.data(), current.batch_rows);
-      });
-      ++ledger.syncs;
-      std::swap(current, next);
-    }
-    if (phase.end_epoch) {
-      timed(ledger.compute_s, [&] { phase.end_epoch(epoch); });
-    }
-  }
-}
-
-// --- Column-split hidden layers ---------------------------------------------
-//
-// Rank r owns a contiguous range of the layer's hidden-unit columns and
-// keeps only their slice of p_j, p_ij, W and the bias; p_i is replicated.
-// Per batch every rank computes the support of its columns for all rows,
-// one allgather assembles the full support rows, every rank adds each
-// virtual shard's noise and runs the softmax on full rows (replicated,
-// O(batch * n_out)), and then accumulates the trace statistics, the EMA
-// and the weights of its own columns only. Every engine computes each
-// support and weight column independently of its neighbours, in every
-// kernel tier (test_distributed's slice tests pin this), so the split
-// needs no SIMD alignment and the bits match the whole-matrix update.
-
-/// A rank's contiguous range of `n_out` hidden-unit columns: the first
-/// n_out % world ranks own one column more. Ranks beyond n_out own none
-/// but still join every collective.
-struct ColumnRange {
-  std::size_t begin = 0;
-  std::size_t width = 0;
-  std::size_t widest = 0;  ///< the widest rank's width: the exchange stride
-};
-
-ColumnRange column_range(std::size_t n_out, int rank, int world) {
-  const auto r = static_cast<std::size_t>(rank);
-  const auto p = static_cast<std::size_t>(world);
-  const std::size_t base = n_out / p;
-  const std::size_t extra = n_out % p;
-  return {r * base + std::min(r, extra), base + (r < extra ? 1 : 0),
-          base + (extra > 0 ? 1 : 0)};
 }
 
 /// Gather the rows of batch positions [start, end) of `order` into `out`
@@ -349,6 +96,131 @@ void segmented_col_sums(const float* m, std::size_t ld, std::size_t cols,
   }
 }
 
+/// The trace EMA of one batch (hidden layers and the BCPNN head). The
+/// batch's rows `x` are grouped by shard, shard v ending at row
+/// seg_end[v]; its activations are the `width`-wide window at `a`
+/// (leading dimension lda). Each statistic (col-sums of x, col-sums of
+/// a, x^T a) is summed per shard and the shards added in shard order.
+struct TraceUpdate {
+  std::vector<float> part;
+  std::vector<float> sum_pi;
+  std::vector<float> sum_pj;
+  std::vector<float> sum_pij;
+
+  void apply(const tensor::MatrixF& x, const float* a, std::size_t lda,
+             std::size_t width, const std::vector<std::size_t>& seg_end,
+             float alpha, float* pi, float* pj, float* pij) {
+    const std::size_t n_in = x.cols();
+    sum_pi.resize(n_in);
+    sum_pj.resize(width);
+    sum_pij.resize(n_in * width);
+    segmented_col_sums(x.data(), n_in, n_in, seg_end, part, sum_pi.data());
+    segmented_col_sums(a, lda, width, seg_end, part, sum_pj.data());
+    tensor::segmented_gemm_tn(x, a, lda, width, seg_end, sum_pij.data(),
+                              width);
+    const float inv = 1.0f / static_cast<float>(x.rows());
+    ema_from_sums(sum_pi.data(), inv, alpha, pi, n_in);
+    ema_from_sums(sum_pj.data(), inv, alpha, pj, width);
+    ema_from_sums(sum_pij.data(), inv, alpha, pij, n_in * width);
+  }
+};
+
+// --- The batch loop every phase shares --------------------------------------
+
+/// Rank-local account of a training run: hidden-layer batch exchanges
+/// issued and where the phase loops spent their wall time.
+struct RankLedger {
+  std::size_t syncs = 0;
+  double compute_s = 0.0;   ///< support, statistics, updates, epoch ends
+  double pack_s = 0.0;      ///< gathering shard rows
+  double exchange_s = 0.0;  ///< collectives, waits, unpacking
+};
+
+/// Run `step` and add its wall time to `seconds`.
+template <typename Step>
+void timed(double& seconds, Step&& step) {
+  const util::Stopwatch watch;
+  step();
+  seconds += watch.seconds();
+}
+
+/// One batch of a phase: its rows, and for a head their targets, grouped
+/// by virtual shard; shard v ends at row seg_end[v].
+struct ShardedBatch {
+  std::size_t epoch = 0;
+  std::size_t index = 0;  ///< within the epoch
+  tensor::MatrixF x;
+  tensor::MatrixF t;  ///< empty in an unsupervised phase
+  std::vector<std::size_t> seg_end;
+};
+
+/// All epochs of one phase over `x` (and `targets`, when not null): each
+/// epoch reshuffles the row order from `stream`, cuts it into batches,
+/// packs every batch shard by shard (timed as pack), hands it to `step`
+/// and ends with end_epoch(epoch). The order depends only on the data,
+/// the schedule and `stream`, never on the rank; `step` and `end_epoch`
+/// time their own work.
+template <typename Step, typename EndEpoch>
+void run_batches(const tensor::MatrixF& x, const tensor::MatrixF* targets,
+                 std::size_t epochs, std::size_t batch_size,
+                 std::size_t shards, std::uint64_t stream, RankLedger& ledger,
+                 Step&& step, EndEpoch&& end_epoch) {
+  const std::size_t n = x.rows();
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  util::Rng order_rng(mix(stream, 0x5A55C0DEULL));
+  const std::size_t batches = (n + batch_size - 1) / batch_size;
+  ShardedBatch batch;
+  for (batch.epoch = 0; batch.epoch < epochs; ++batch.epoch) {
+    order_rng.shuffle(order);
+    for (batch.index = 0; batch.index < batches; ++batch.index) {
+      const std::size_t start = batch.index * batch_size;
+      const std::size_t end = std::min(start + batch_size, n);
+      timed(ledger.pack_s, [&] {
+        pack_batch_by_shard(x, order, start, end, shards, batch.x,
+                            batch.seg_end);
+        if (targets != nullptr) {
+          pack_batch_by_shard(*targets, order, start, end, shards, batch.t,
+                              batch.seg_end);
+        }
+      });
+      step(batch);
+    }
+    end_epoch(batch.epoch);
+  }
+}
+
+// --- Column-split hidden layers ---------------------------------------------
+//
+// Rank r owns a contiguous range of the layer's hidden-unit columns and
+// keeps only their slice of p_j, p_ij, W and the bias; p_i is replicated.
+// Per batch every rank computes the support of its columns for all rows,
+// one allgather assembles the full support rows, every rank adds each
+// virtual shard's noise and runs the softmax on full rows (replicated,
+// O(batch * n_out)), and then accumulates the trace statistics, the EMA
+// and the weights of its own columns only. Every engine computes each
+// support and weight column independently of its neighbours, in every
+// kernel tier (test_distributed's slice tests pin this), so the split
+// needs no SIMD alignment and the bits match the whole-matrix update.
+
+/// A rank's contiguous range of `n_out` hidden-unit columns: the first
+/// n_out % world ranks own one column more. Ranks beyond n_out own none
+/// but still join every collective.
+struct ColumnRange {
+  std::size_t begin = 0;
+  std::size_t width = 0;
+  std::size_t widest = 0;  ///< the widest rank's width: the exchange stride
+};
+
+ColumnRange column_range(std::size_t n_out, int rank, int world) {
+  const auto r = static_cast<std::size_t>(rank);
+  const auto p = static_cast<std::size_t>(world);
+  const std::size_t base = n_out / p;
+  const std::size_t extra = n_out % p;
+  return {r * base + std::min(r, extra), base + (r < extra ? 1 : 0),
+          base + (extra > 0 ? 1 : 0)};
+}
+
 /// Allgather every rank's `cols`-wide slice of a rows x n_out matrix:
 /// `slice` (rows x own width, leading dimension `width`) is padded to the
 /// widest rank's width so the equal-count allgather serves, and `full`
@@ -383,16 +255,13 @@ void allgather_column_slices(comm::Communicator& comm, std::size_t n_out,
 /// itself is brought up to date at every epoch end: its full traces are
 /// gathered and its weights recomputed before the plasticity and prune
 /// steps, so they decide identically on every rank.
-void run_column_split_phase(comm::Communicator& comm,
-                            const DistributedOptions& opts,
+void run_column_split_phase(comm::Communicator& comm, std::size_t shards,
                             parallel::Engine& engine, BcpnnLayer& layer,
                             const tensor::MatrixF& x, std::uint64_t stream,
                             RankLedger& ledger) {
   const BcpnnConfig& cfg = layer.config();
-  const std::size_t n = x.rows();
   const std::size_t n_in = x.cols();
   const std::size_t n_out = layer.hidden_units();
-  const std::size_t shards = static_cast<std::size_t>(opts.virtual_shards);
   const bool single = comm.size() == 1;
   const ColumnRange own = column_range(n_out, comm.rank(), comm.size());
   const std::uint64_t phase_stream = mix(cfg.seed, stream);
@@ -417,84 +286,60 @@ void run_column_split_phase(comm::Communicator& comm,
   copy_columns(layer.traces().pij(), pij);
   load_weights();
 
-  tensor::MatrixF batch_x;
   tensor::MatrixF support;
   tensor::MatrixF activations;
-  std::vector<std::size_t> seg_end;
   std::vector<float> send;
   std::vector<float> gathered;
-  std::vector<float> part;
-  std::vector<float> sum_pi(n_in);
-  std::vector<float> sum_pj(own.width);
-  std::vector<float> sum_pij(n_in * own.width);
+  TraceUpdate update;
 
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  util::Rng order_rng(mix(phase_stream, 0x5A55C0DEULL));
-  const std::size_t batches = (n + cfg.batch_size - 1) / cfg.batch_size;
-  for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
-    order_rng.shuffle(order);
-    const float noise_std = cfg.noise_at(epoch);
-    for (std::size_t b = 0; b < batches; ++b) {
-      const std::size_t start = b * cfg.batch_size;
-      const std::size_t end = std::min(start + cfg.batch_size, n);
-      const std::size_t rows = end - start;
-      timed(ledger.pack_s, [&] {
-        pack_batch_by_shard(x, order, start, end, shards, batch_x, seg_end);
-      });
-      timed(ledger.compute_s, [&] {
-        if (own.width == 0) return;
-        engine.support(batch_x, weights, bias.data(), support);
-        // Each shard's noise stream covers its full rows; this rank
-        // transforms and adds only the draws of its own columns.
-        std::size_t row = 0;
-        for (std::size_t v = 0; v < shards; ++v) {
-          const std::size_t shard_rows = seg_end[v] - row;
-          if (noise_std > 0.0f && shard_rows > 0) {
-            util::Rng noise_rng = shard_noise_rng(phase_stream, epoch, b, v);
-            add_support_noise(noise_rng, noise_std, support.row(row),
-                              shard_rows, n_out, own.begin, own.width);
-          }
-          row = seg_end[v];
+  const auto step = [&](const ShardedBatch& batch) {
+    const std::size_t rows = batch.x.rows();
+    timed(ledger.compute_s, [&] {
+      if (own.width == 0) return;
+      engine.support(batch.x, weights, bias.data(), support);
+      // Each shard's noise stream covers its full rows; this rank
+      // transforms and adds only the draws of its own columns.
+      const float noise_std = cfg.noise_at(batch.epoch);
+      std::size_t row = 0;
+      for (std::size_t v = 0; v < shards; ++v) {
+        const std::size_t shard_rows = batch.seg_end[v] - row;
+        if (noise_std > 0.0f && shard_rows > 0) {
+          util::Rng noise_rng =
+              shard_noise_rng(phase_stream, batch.epoch, batch.index, v);
+          add_support_noise(noise_rng, noise_std, support.row(row),
+                            shard_rows, n_out, own.begin, own.width);
         }
-      });
-      // The noisy support slices are this batch's only exchange.
-      timed(ledger.exchange_s, [&] {
-        if (single) {
-          std::swap(support, activations);
-        } else {
-          activations.resize_uninitialized(rows, n_out);
-          allgather_column_slices(comm, n_out, rows, support.data(),
-                                  activations.data(), send, gathered);
-        }
-      });
-      timed(ledger.compute_s, [&] {
-        engine.softmax_hcu(activations, cfg.mcus, cfg.inverse_temperature);
+        row = batch.seg_end[v];
+      }
+    });
+    // The noisy support slices are this batch's only exchange.
+    timed(ledger.exchange_s, [&] {
+      if (single) {
+        std::swap(support, activations);
+      } else {
+        activations.resize_uninitialized(rows, n_out);
+        allgather_column_slices(comm, n_out, rows, support.data(),
+                                activations.data(), send, gathered);
+      }
+    });
+    timed(ledger.compute_s, [&] {
+      engine.softmax_hcu(activations, cfg.mcus, cfg.inverse_temperature);
+      update.apply(batch.x, activations.data() + own.begin, n_out, own.width,
+                   batch.seg_end, cfg.alpha, pi.data(), pj.data(),
+                   pij.data());
+      if (own.width > 0) {
+        engine.recompute_weights(pi.data(), pj.data(), pij, cfg.eps,
+                                 cfg.k_beta, weights, bias.data());
+        apply_weight_masks(cfg, layer.masks(), layer.prune_mask(), own.begin,
+                           weights);
+      }
+    });
+    ++ledger.syncs;
+  };
 
-        segmented_col_sums(batch_x.data(), n_in, n_in, seg_end, part,
-                           sum_pi.data());
-        segmented_col_sums(activations.data() + own.begin, n_out, own.width,
-                           seg_end, part, sum_pj.data());
-        tensor::segmented_gemm_tn(batch_x, activations.data() + own.begin,
-                                  n_out, own.width, seg_end, sum_pij.data(),
-                                  own.width);
-        const float inv = 1.0f / static_cast<float>(rows);
-        ema_from_sums(sum_pi.data(), inv, cfg.alpha, pi.data(), n_in);
-        ema_from_sums(sum_pj.data(), inv, cfg.alpha, pj.data(), own.width);
-        ema_from_sums(sum_pij.data(), inv, cfg.alpha, pij.data(),
-                      pij.size());
-        if (own.width > 0) {
-          engine.recompute_weights(pi.data(), pj.data(), pij, cfg.eps,
-                                   cfg.k_beta, weights, bias.data());
-          apply_weight_masks(cfg, layer.masks(), layer.prune_mask(),
-                             own.begin, weights);
-        }
-      });
-      ++ledger.syncs;
-    }
-
-    // Epoch end: the full traces on every rank, then the serial path's
-    // end-of-epoch steps, then this rank's slice of the new weights.
+  // Epoch end: the full traces on every rank, then the serial path's
+  // end-of-epoch steps, then this rank's slice of the new weights.
+  const auto end_epoch = [&](std::size_t epoch) {
     ProbabilityTraces& traces = layer.mutable_traces();
     timed(ledger.exchange_s, [&] {
       allgather_column_slices(comm, n_out, 1, pj.data(),
@@ -508,85 +353,87 @@ void run_column_split_phase(comm::Communicator& comm,
       end_hidden_epoch(layer, epoch);
       load_weights();
     });
-  }
+  };
+
+  run_batches(x, nullptr, cfg.epochs, cfg.batch_size, shards, phase_stream,
+              ledger, step, end_epoch);
 }
+
+// --- Read-out heads, replicated ----------------------------------------------
+//
+// A head's statistics are only n_hidden x classes and every rank holds
+// the full hidden code, so every rank trains the whole head on every
+// batch, with no collective: the per-shard statistics in shard order
+// keep the bits of the 1-rank fit.
 
 /// Supervised BCPNN head phase (shallow kBcpnn head and deep heads): the
-/// statistics are the trace block over (hidden, targets), and the combined
-/// totals replay the trace EMA before the weights are rebuilt.
-void run_bcpnn_head_phase(comm::Communicator& comm,
-                          const DistributedOptions& opts,
-                          BcpnnClassifier& head, const tensor::MatrixF& hidden,
+/// trace EMA over (hidden, targets), then the weights are rebuilt.
+/// `prune` (null for a deep head) supplies the serial path's prune
+/// cadence.
+void run_bcpnn_head_phase(std::size_t shards, BcpnnClassifier& head,
+                          const tensor::MatrixF& hidden,
                           const tensor::MatrixF& targets, std::size_t epochs,
                           std::size_t batch_size, std::uint64_t stream,
-                          const std::function<void(std::size_t)>& end_epoch,
-                          RankLedger& ledger) {
-  SyncPhase phase;
-  phase.epochs = epochs;
-  phase.batch_size = batch_size;
-  phase.stream = stream;
-  phase.block = trace_block_size(hidden.cols(), targets.cols());
-  tensor::MatrixF pij_scratch;
-  phase.shard_stats = [&pij_scratch](const tensor::MatrixF& shard_x,
-                                     const tensor::MatrixF& shard_t,
-                                     float* slot) {
-    accumulate_trace_stats(shard_x, shard_t, pij_scratch, slot);
-  };
-  phase.apply = [&head](const float* totals, std::size_t rows) {
-    apply_trace_ema(totals, rows, head.alpha(), head.mutable_traces());
-    head.recompute_weights();
-  };
-  phase.end_epoch = end_epoch;
-  run_sync_phase(comm, opts, phase, hidden, targets, ledger);
+                          const BcpnnConfig* prune, RankLedger& ledger) {
+  const std::size_t classes = targets.cols();
+  TraceUpdate update;
+  run_batches(
+      hidden, &targets, epochs, batch_size, shards, stream, ledger,
+      [&](const ShardedBatch& batch) {
+        timed(ledger.compute_s, [&] {
+          ProbabilityTraces& traces = head.mutable_traces();
+          update.apply(batch.x, batch.t.data(), classes, classes,
+                       batch.seg_end, head.alpha(),
+                       traces.mutable_pi().data(), traces.mutable_pj().data(),
+                       traces.mutable_pij().data());
+          head.recompute_weights();
+        });
+      },
+      [&](std::size_t epoch) {
+        if (prune != nullptr) {
+          timed(ledger.compute_s,
+                [&] { prune_on_cadence(head, *prune, epoch); });
+        }
+      });
 }
 
-/// SGD head phase: the statistics are the un-normalized gradient X^T (p - t)
-/// and its bias column sums.
-void run_sgd_head_phase(comm::Communicator& comm,
-                        const DistributedOptions& opts, SgdHead& head,
+/// SGD head phase: the gradient X^T (p - t) / rows and its bias column
+/// sums, per shard in shard order; each epoch ends with the learning-rate
+/// decay and the serial path's prune cadence.
+void run_sgd_head_phase(std::size_t shards, SgdHead& head,
                         const tensor::MatrixF& hidden,
-                        const tensor::MatrixF& targets, std::size_t epochs,
-                        std::size_t batch_size, std::uint64_t stream,
-                        const std::function<void(std::size_t)>& end_epoch,
+                        const tensor::MatrixF& targets, const BcpnnConfig& cfg,
                         RankLedger& ledger) {
-  const std::size_t n_feat = hidden.cols();
   const std::size_t classes = targets.cols();
-  const std::size_t n_weights = n_feat * classes;
   tensor::MatrixF probs;
-  tensor::MatrixF grad(n_feat, classes);
+  tensor::MatrixF grad(hidden.cols(), classes);
   std::vector<float> bias_grad(classes);
-
-  SyncPhase phase;
-  phase.epochs = epochs;
-  phase.batch_size = batch_size;
-  phase.stream = stream;
-  phase.block = n_weights + classes;
-  phase.shard_stats = [&](const tensor::MatrixF& shard_x,
-                          const tensor::MatrixF& shard_t, float* slot) {
-    head.predict(shard_x, probs);
-    for (std::size_t r = 0; r < probs.rows(); ++r) {
-      for (std::size_t c = 0; c < classes; ++c) {
-        probs(r, c) -= shard_t(r, c);
-      }
-    }
-    tensor::gemm(tensor::Transpose::kYes, tensor::Transpose::kNo, 1.0f,
-                 shard_x, probs, 0.0f, grad);
-    std::copy_n(grad.data(), n_weights, slot);
-    tensor::col_sums(probs, slot + n_weights);
-  };
-  phase.apply = [&](const float* totals, std::size_t rows) {
-    const float inv = 1.0f / static_cast<float>(rows);
-    std::copy_n(totals, n_weights, grad.data());
-    tensor::scale(inv, grad.data(), grad.size());
-    std::copy_n(totals + n_weights, classes, bias_grad.data());
-    tensor::scale(inv, bias_grad.data(), classes);
-    head.apply_gradient(grad, bias_grad);
-  };
-  phase.end_epoch = [&head, &end_epoch](std::size_t epoch) {
-    head.end_epoch();
-    end_epoch(epoch);
-  };
-  run_sync_phase(comm, opts, phase, hidden, targets, ledger);
+  std::vector<float> part;
+  run_batches(
+      hidden, &targets, cfg.head_epochs, cfg.batch_size, shards,
+      mix(cfg.seed, /*stream=*/2), ledger,
+      [&](const ShardedBatch& batch) {
+        timed(ledger.compute_s, [&] {
+          head.predict(batch.x, probs);
+          for (std::size_t i = 0; i < probs.size(); ++i) {
+            probs.data()[i] -= batch.t.data()[i];
+          }
+          tensor::segmented_gemm_tn(batch.x, probs.data(), classes, classes,
+                                    batch.seg_end, grad.data(), classes);
+          segmented_col_sums(probs.data(), classes, classes, batch.seg_end,
+                             part, bias_grad.data());
+          const float inv = 1.0f / static_cast<float>(batch.x.rows());
+          tensor::scale(inv, grad.data(), grad.size());
+          tensor::scale(inv, bias_grad.data(), classes);
+          head.apply_gradient(grad, bias_grad);
+        });
+      },
+      [&](std::size_t epoch) {
+        timed(ledger.compute_s, [&] {
+          head.end_epoch();
+          prune_on_cadence(head, cfg, epoch);
+        });
+      });
 }
 
 // --- Replica plumbing ------------------------------------------------------
@@ -594,42 +441,32 @@ void run_sgd_head_phase(comm::Communicator& comm,
 void train_replica(comm::Communicator& comm, const DistributedOptions& opts,
                    Model& replica, const tensor::MatrixF& x,
                    const std::vector<int>& labels, RankLedger& ledger) {
+  const auto shards = static_cast<std::size_t>(opts.virtual_shards);
   if (replica.hidden_specs().size() == 1) {
     Network& net = replica.network();
     const BcpnnConfig& cfg = net.config().bcpnn;
-    run_column_split_phase(comm, opts, net.engine(), net.mutable_hidden(), x,
-                           /*stream=*/1, ledger);
+    run_column_split_phase(comm, shards, net.engine(), net.mutable_hidden(),
+                           x, /*stream=*/1, ledger);
 
     tensor::MatrixF hidden;
     net.mutable_hidden().forward(x, hidden);  // replicated, deterministic
     const tensor::MatrixF targets =
         data::one_hot_labels(labels, net.config().classes);
-    // Either head ends its epochs on the serial path's prune cadence.
     if (SgdHead* head = net.sgd_head(); head != nullptr) {
-      run_sgd_head_phase(
-          comm, opts, *head, hidden, targets, cfg.head_epochs,
-          cfg.batch_size, mix(cfg.seed, /*stream=*/2),
-          [head, &cfg](std::size_t epoch) {
-            prune_on_cadence(*head, cfg, epoch);
-          },
-          ledger);
+      run_sgd_head_phase(shards, *head, hidden, targets, cfg, ledger);
     } else {
-      BcpnnClassifier* bcpnn = net.bcpnn_head();
-      run_bcpnn_head_phase(
-          comm, opts, *bcpnn, hidden, targets, cfg.head_epochs,
-          cfg.batch_size, mix(cfg.seed, /*stream=*/2),
-          [bcpnn, &cfg](std::size_t epoch) {
-            prune_on_cadence(*bcpnn, cfg, epoch);
-          },
-          ledger);
+      run_bcpnn_head_phase(shards, *net.bcpnn_head(), hidden, targets,
+                           cfg.head_epochs, cfg.batch_size,
+                           mix(cfg.seed, /*stream=*/2), &cfg, ledger);
     }
   } else {
     DeepBcpnn& deep = replica.deep();
     const DeepBcpnnConfig& cfg = deep.config();
     tensor::MatrixF current = x;
     for (std::size_t l = 0; l < deep.depth(); ++l) {
-      run_column_split_phase(comm, opts, deep.engine(), deep.mutable_layer(l),
-                             current, /*stream=*/16 + l, ledger);
+      run_column_split_phase(comm, shards, deep.engine(),
+                             deep.mutable_layer(l), current,
+                             /*stream=*/16 + l, ledger);
       tensor::MatrixF next;
       deep.mutable_layer(l).forward(current, next);
       if (cfg.propagate_wta) {
@@ -640,9 +477,9 @@ void train_replica(comm::Communicator& comm, const DistributedOptions& opts,
     const tensor::MatrixF head_input = deep.transform(x);
     const tensor::MatrixF targets =
         data::one_hot_labels(labels, cfg.classes);
-    run_bcpnn_head_phase(comm, opts, deep.head(), head_input, targets,
+    run_bcpnn_head_phase(shards, deep.head(), head_input, targets,
                          cfg.head_epochs, cfg.batch_size,
-                         mix(cfg.seed, /*stream=*/2), {}, ledger);
+                         mix(cfg.seed, /*stream=*/2), nullptr, ledger);
   }
 
   // Schedule-agreement invariant over the new uint64 collective: a rank

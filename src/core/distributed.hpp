@@ -1,8 +1,9 @@
 #pragma once
 // Data-parallel BCPNN training over the comm substrate — the pattern of
 // StreamBrain's MPI backend. Because BCPNN learning is local, the only
-// state that must be synchronized is the probability traces (plus the
-// read-out head's state); weights are recomputed locally from them.
+// state that must be synchronized is the hidden layers' activations and
+// probability traces; weights are recomputed locally from them, and the
+// small read-out head is recomputed on every rank rather than synchronized.
 // Section II-B's claim — "one can conceptually launch different BCPNN
 // instances and scale horizontally without the limiting factor on
 // communication" — is what bench_scaling measures with this trainer.
@@ -19,16 +20,16 @@
 // A hidden layer is split by columns, the sub-lattice ownership of Lin &
 // Zheng's parallel Swendsen-Wang: rank r owns a contiguous range of
 // hidden units and keeps only their slice of p_j, p_ij, the weights and
-// the bias (p_i is replicated). Per batch every rank computes and noises the support of its own columns
-// for all rows, one allgather assembles the full support rows (the only
-// per-batch exchange: batch x hidden floats in all), every rank runs the
-// per-hypercolumn softmax on full rows, and then updates the traces and
-// weights of its own columns only. At each epoch end one allgather of
-// the trace slices brings every rank's layer up to date for structural
-// plasticity and pruning. The read-out heads, whose statistics are only
-// n_hidden x classes, keep the shard exchange: each rank computes the
-// statistics of the shards it owns and one allgather hands every rank
-// every shard's block unchanged (no arithmetic happens in a collective).
+// the bias (p_i is replicated). Per batch every rank computes and noises
+// the support of its own columns for all rows, one allgather assembles
+// the full support rows (the only per-batch exchange: batch x hidden
+// floats in all), every rank runs the per-hypercolumn softmax on full
+// rows, and then updates the traces and weights of its own columns only.
+// At each epoch end one allgather of the trace slices brings every
+// rank's layer up to date for structural plasticity and pruning. The
+// read-out heads, whose statistics are only n_hidden x classes, are
+// trained whole on every rank from the full hidden code with the same
+// per-shard sums, and issue no collective at all.
 
 #include <cstddef>
 #include <cstdint>
@@ -50,13 +51,12 @@ struct DistributedOptions {
   comm::Backend backend = comm::Backend::kInProcess;
   /// Fixed data decomposition width. Results are invariant to the rank
   /// count but NOT to this value; any rank count (including ranks >
-  /// virtual_shards, or more ranks than hidden units) is supported. The hidden layers' traffic does not depend on it: per
-  /// batch of b rows each rank sends its b x w support slice to the P - 1
-  /// others, with w = ceil(n_hidden / P) (narrower slices are padded),
-  /// and per epoch its (1 + n_in) x w trace slice. The heads' does: with
-  /// S = virtual_shards and a head statistics block of B floats, each
-  /// rank sends its ceil(S/P) owned shard blocks, (P - 1) * ceil(S/P) *
-  /// B * 4 bytes per batch (one of them unused padding when S % P != 0).
+  /// virtual_shards, or more ranks than hidden units) is supported. The
+  /// traffic does not depend on it: only the hidden layers exchange, and
+  /// per batch of b rows each rank sends its b x w support slice to the
+  /// P - 1 others, with w = ceil(n_hidden / P) (narrower slices are
+  /// padded), and per epoch its (1 + n_in) x w trace slice. The heads,
+  /// replicated on every rank, send nothing.
   int virtual_shards = 8;
 };
 
@@ -68,13 +68,14 @@ struct DistributedReport {
   std::uint64_t total_bytes = 0;       ///< true sum over all ranks
   std::uint64_t wire_bytes_per_rank = 0;  ///< bytes on the wire, rank 0
   std::uint64_t total_wire_bytes = 0;     ///< wire bytes, sum over ranks
-  std::size_t sync_count = 0;          ///< number of exchanges (rank 0)
+  std::size_t sync_count = 0;          ///< hidden-layer batch exchanges, rank 0
   /// Rank 0's phase-loop wall time, split three ways (their sum is at
   /// most `seconds`, which also covers replica set-up and the forward
   /// passes between phases):
   double compute_s = 0.0;   ///< support, statistics, updates, epoch ends
-  double pack_s = 0.0;      ///< gathering each batch's rows by shard
-  double exchange_s = 0.0;  ///< collectives, waits, unpacking, combines
+  double pack_s = 0.0;      ///< grouping each batch's rows (and a head's
+                            ///< targets) by shard
+  double exchange_s = 0.0;  ///< collectives, waits, unpacking
 };
 
 /// Full-model data-parallel trainer. Equivalent to `model.fit(x, labels)`
@@ -102,7 +103,7 @@ class DistributedTrainer {
   /// communicator's world size. On return `model` holds the
   /// rank-synchronized state — bit-identical on every rank, and to a
   /// single-process fit() with the same options and rank count. Returns
-  /// the number of exchanges this rank issued.
+  /// the number of hidden-layer batch exchanges this rank issued.
   std::size_t fit_rank(comm::Communicator& comm, Model& model,
                        const tensor::MatrixF& x,
                        const std::vector<int>& labels);

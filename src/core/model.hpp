@@ -46,9 +46,6 @@ struct QuantOptions {
 
 class Model final : public Estimator {
  public:
-  /// Compatibility alias — the head enum is core::HeadType everywhere.
-  using Head = HeadType;
-
   Model() = default;
 
   /// Declare the encoded input geometry (hypercolumns x units each).

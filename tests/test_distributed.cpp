@@ -3,8 +3,9 @@
 // over comm::, and the result is BIT-IDENTICAL at every rank count.
 // Hidden layers are split by columns: each rank updates the traces and
 // weights of its own hidden units, and the statistics are still summed
-// per fixed virtual shard in shard order; the heads allgather per-shard statistics. No floating-point
-// association depends on the rank count. The slice tests below pin the
+// per fixed virtual shard in shard order; every rank trains the whole
+// head, with the same per-shard sums. No floating-point association
+// depends on the rank count. The slice tests below pin the
 // per-column exactness the split relies on, in every kernel tier and
 // engine. The golden tests pin the scalar dispatch tier and compare
 // rank-2 training against committed digests under tests/golden/.
@@ -67,13 +68,13 @@ const FixtureData& fixture() {
   return data;
 }
 
-sc::Model make_shallow(sc::HeadType head) {
+sc::Model make_shallow(sc::HeadType head, int head_epochs = 3) {
   sc::Model model;
   model.input(28, 10)
       .hidden(1, 20, 0.4)
       .classifier(2, head)
       .set_option("epochs", 2)
-      .set_option("head_epochs", 3)
+      .set_option("head_epochs", head_epochs)
       .set_option("batch_size", 32)
       .compile("simd", /*seed=*/11);
   return model;
@@ -241,19 +242,13 @@ TEST(Distributed, ExactModeSendsSupportSlicesAndEpochTraces) {
   // 260 rows in batches of 32 are 9 batches per epoch.
   constexpr std::uint64_t kInputs = 28 * 10;
   constexpr std::uint64_t kHidden = 20;
-  constexpr std::uint64_t kClasses = 2;
   constexpr std::uint64_t kRows = 260;
   constexpr std::uint64_t kBatches = 9;
   constexpr std::uint64_t kEpochs = 2;
-  constexpr std::uint64_t kHeadBlock = kHidden + kClasses + kHidden * kClasses;
-  constexpr std::uint64_t kHiddenSyncs = kEpochs * kBatches;
-  constexpr std::uint64_t kHeadSyncs = 3 * kBatches;  // head_epochs = 3
-  constexpr std::uint64_t kShards = 8;
   constexpr std::uint64_t kFloat = sizeof(float);
   for (const int ranks : {2, 3, 4}) {
     const auto snap = train_snapshot(make_shallow(sc::HeadType::kBcpnn),
-                                     {.ranks = ranks,
-                                      .virtual_shards = int{kShards}});
+                                     {.ranks = ranks});
     const auto p = static_cast<std::uint64_t>(ranks);
     // Hidden columns are split as evenly as possible; every exchange pads
     // a rank's slice to the widest one.
@@ -264,14 +259,20 @@ TEST(Distributed, ExactModeSendsSupportSlicesAndEpochTraces) {
     // Per epoch end, its p_j and p_ij slices.
     const std::uint64_t traces =
         (p - 1) * kEpochs * (1 + kInputs) * widest * kFloat;
-    // The head still sends its ceil(S/P) owned shard blocks per batch.
-    const std::uint64_t slots = (kShards + p - 1) / p;
-    const std::uint64_t head =
-        (p - 1) * slots * kHeadSyncs * kHeadBlock * kFloat;
-    // And the two uint64 schedule-check allreduces.
+    // And the two uint64 schedule-check allreduces. The head, trained
+    // replicated on every rank, sends nothing.
     const std::uint64_t checks = 2 * (p - 1) * sizeof(std::uint64_t);
-    EXPECT_EQ(snap.report.sync_count, kHiddenSyncs + kHeadSyncs);
-    EXPECT_EQ(snap.report.bytes_per_rank, support + traces + head + checks)
+    EXPECT_EQ(snap.report.sync_count, kEpochs * kBatches);
+    EXPECT_EQ(snap.report.bytes_per_rank, support + traces + checks)
+        << "ranks=" << ranks;
+
+    // Twice the head epochs move neither the traffic nor the exchanges.
+    const auto longer = train_snapshot(
+        make_shallow(sc::HeadType::kBcpnn, /*head_epochs=*/6),
+        {.ranks = ranks});
+    EXPECT_EQ(longer.report.bytes_per_rank, snap.report.bytes_per_rank)
+        << "ranks=" << ranks;
+    EXPECT_EQ(longer.report.sync_count, snap.report.sync_count)
         << "ranks=" << ranks;
   }
 }
